@@ -1127,53 +1127,11 @@ let bench_smoke_lp () =
   List.iter (fun (r, n) -> if n > 0 then Printf.printf "  rung %-13s %d\n" r n) rung_rows;
   if sorted.(Array.length sorted - 1) > 2.0 *. deadline_s then
     Printf.printf "WARNING: a run exceeded twice the deadline\n";
-  (* Parallel scenario: the same Eq.(3)-shaped MILP under the
-     domain-parallel branch & bound at 1/2/4 domains, plus the suite
-     fan-out (independent benchmarks on the pool). Speedups are
-     reported next to [domains_available] — on a single-core host the
-     honest expectation is ~1.0x, and the scenario then checks
-     correctness (identical optimal objective) rather than scaling. *)
-  header "smoke-lp: domain-parallel branch & bound scaling";
+  (* Parallel scenario: the suite fan-out (independent benchmarks on
+     the domain pool), reported next to [domains_available] — on a
+     single-core host the honest expectation is ~1.0x. *)
+  header "smoke-lp: suite fan-out on the domain pool";
   let domains_available = Domain.recommended_domain_count () in
-  let run_jobs jobs =
-    (* Node headroom well past what either search order needs, so every
-       leg runs to proven optimality and the objectives must coincide
-       exactly; best-of-3 wall time filters OS scheduling noise, which
-       dominates when domains outnumber cores. *)
-    let params =
-      {
-        Milp.default_params with
-        Milp.node_limit = 4_000;
-        first_solution = false;
-        jobs;
-      }
-    in
-    let one () =
-      let (result, _), dt = time_it (fun () -> Milp.solve_with_stats ~params lp) in
-      let objective =
-        match result with Milp.Feasible sol -> sol.Agingfp_lp.Simplex.objective | _ -> nan
-      in
-      (dt, objective)
-    in
-    let legs = List.init 3 (fun _ -> one ()) in
-    let dt = List.fold_left (fun a (t, _) -> min a t) infinity legs in
-    let objective = snd (List.hd legs) in
-    List.iter
-      (fun (_, o) ->
-        if abs_float (o -. objective) > 1e-6 then
-          Printf.printf "WARNING: jobs=%d repetitions disagree (%.6f vs %.6f)\n" jobs o
-            objective)
-      legs;
-    Printf.printf "  jobs=%d  %6.3fs (best of 3)  objective %.4f\n%!" jobs dt objective;
-    (jobs, dt, objective)
-  in
-  let milp_legs = List.map run_jobs [ 1; 2; 4 ] in
-  let _, base_dt, base_obj = List.hd milp_legs in
-  List.iter
-    (fun (j, _, obj) ->
-      if abs_float (obj -. base_obj) > 1e-6 then
-        Printf.printf "WARNING: jobs=%d objective differs (%.6f vs %.6f)\n" j obj base_obj)
-    milp_legs;
   let suite_designs =
     [ Benchmarks.tiny () ]
     @ List.filter_map
@@ -1200,16 +1158,13 @@ let bench_smoke_lp () =
   in
   let suite_1 = suite_run 1 in
   let suite_4 = suite_run 4 in
-  Printf.printf
-    "domains available: %d; B&B speedup at 4 domains %.2fx; suite fan-out %.2fx\n%!"
-    domains_available
-    (base_dt /. (let _, dt, _ = List.nth milp_legs 2 in dt))
+  Printf.printf "domains available: %d; suite fan-out %.2fx\n%!" domains_available
     (suite_1 /. suite_4);
   (* Tree scenario: the explicit-node search itself. Traversal orders
      and branching rules must all land on the same optimum at
      mip_gap = 0; a 1e-3 gap tolerance should stop earlier with a
-     certified incumbent; and the gap-at-time curves show how fast
-     each job count closes the dual gap under a hard deadline. *)
+     certified incumbent; and the gap-at-time curve shows how fast the
+     search closes the dual gap under a hard deadline. *)
   header "smoke-lp: explicit tree search — traversal, branching, gap termination";
   let module UBudget = Agingfp_util.Budget in
   (* Traversal/branching comparisons need a real tree: with root cuts
@@ -1282,35 +1237,23 @@ let bench_smoke_lp () =
     Printf.printf "WARNING: gap-limit objective drifted past the tolerance (%.6f vs %.6f)\n"
       gap_obj ref_obj;
   let deadlines = if !quick then [ 0.01; 0.05 ] else [ 0.005; 0.01; 0.025; 0.05; 0.1 ] in
-  let gap_curves =
+  let gap_curve =
     List.map
-      (fun jobs ->
-        let curve =
-          List.map
-            (fun t ->
-              let params =
-                {
-                  tree_params with
-                  Milp.jobs;
-                  budget = UBudget.create ~deadline_s:t ();
-                }
-              in
-              let (_, stats), dt = time_it (fun () -> Milp.solve_with_stats ~params lp) in
-              (t, stats.Milp.gap, stats.Milp.nodes,
-               float_of_int stats.Milp.nodes /. Float.max dt 1e-6))
-            deadlines
-        in
-        Printf.printf "  gap-at-time jobs=%d: %s\n%!" jobs
-          (String.concat "  "
-             (List.map
-                (fun (t, g, n, _) ->
-                  Printf.sprintf "%.3fs->%s(%dn)" t
-                    (if Float.is_finite g then Printf.sprintf "%.2g" g else "inf")
-                    n)
-                curve));
-        (jobs, curve))
-      [ 1; 2; 4 ]
+      (fun t ->
+        let params = { tree_params with Milp.budget = UBudget.create ~deadline_s:t () } in
+        let (_, stats), dt = time_it (fun () -> Milp.solve_with_stats ~params lp) in
+        (t, stats.Milp.gap, stats.Milp.nodes,
+         float_of_int stats.Milp.nodes /. Float.max dt 1e-6))
+      deadlines
   in
+  Printf.printf "  gap-at-time: %s\n%!"
+    (String.concat "  "
+       (List.map
+          (fun (t, g, n, _) ->
+            Printf.sprintf "%.3fs->%s(%dn)" t
+              (if Float.is_finite g then Printf.sprintf "%.2g" g else "inf")
+              n)
+          gap_curve));
   let json_leg (stats : Milp.stats) dt =
     Printf.sprintf
       "{\"seconds\": %.4f, \"nodes\": %d, \"lp_iterations\": %d, \"warm_solves\": %d, \
@@ -1347,17 +1290,11 @@ let bench_smoke_lp () =
       (jf gap_run_stats.Milp.gap) gap_obj
       (String.concat ", "
          (List.map
-            (fun (jobs, curve) ->
-              Printf.sprintf "{\"jobs\": %d, \"curve\": [%s]}" jobs
-                (String.concat ", "
-                   (List.map
-                      (fun (t, g, n, nps) ->
-                        Printf.sprintf
-                          "{\"deadline_s\": %.4f, \"gap\": %s, \"nodes\": %d, \
-                           \"nodes_per_s\": %.1f}"
-                          t (jf g) n nps)
-                      curve)))
-            gap_curves))
+            (fun (t, g, n, nps) ->
+              Printf.sprintf
+                "{\"deadline_s\": %.4f, \"gap\": %s, \"nodes\": %d, \"nodes_per_s\": %.1f}" t
+                (jf g) n nps)
+            gap_curve))
   in
   let cuts_json =
     let jf g = if Float.is_finite g then Printf.sprintf "%.6g" g else "null" in
@@ -1410,7 +1347,6 @@ let bench_smoke_lp () =
     \  \"deadline\": {\"deadline_s\": %.3f, \"runs\": %d, \"p50_s\": %.4f, \"p99_s\": \
      %.4f, \"max_s\": %.4f, \"rungs\": {%s}},\n\
     \  \"parallel\": {\"domains_available\": %d,\n\
-    \               \"milp\": [%s],\n\
     \               \"suite\": {\"benchmarks\": %d, \"jobs1_s\": %.4f, \"jobs4_s\": \
      %.4f, \"speedup\": %.3f}},\n\
     \  \"tree\": %s\n\
@@ -1436,14 +1372,6 @@ let bench_smoke_lp () =
     (String.concat ", "
        (List.map (fun (r, n) -> Printf.sprintf "\"%s\": %d" r n) rung_rows))
     domains_available
-    (String.concat ", "
-       (List.map
-          (fun (j, dt, obj) ->
-            Printf.sprintf
-              "{\"jobs\": %d, \"seconds\": %.4f, \"speedup_vs_1\": %.3f, \"objective\": \
-               %.4f}"
-              j dt (base_dt /. dt) obj)
-          milp_legs))
     (Array.length suite_tasks) suite_1 suite_4 (suite_1 /. suite_4) tree_json;
   close_out oc;
   Printf.printf "wrote BENCH_lp.json (speedup %.2fx, iteration ratio %.2fx)\n%!"

@@ -755,8 +755,10 @@ let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Domains used by the solver's parallel layer (1 = sequential, 0 = one \
-              per core).")
+        ~doc:"Domains for the fan-out (1 = sequential, 0 = one per core). $(b,remap) \
+              spreads its Remap fan-out over them: the Δ-relaxation window and the \
+              speculative per-context solves. $(b,suite) runs one benchmark per \
+              domain. Each branch & bound search runs sequentially either way.")
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")

@@ -1029,10 +1029,13 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
         (* Δ-window fan-out: the next [window] ST_target attempts are
            independent by construction (each is a fresh build at its
            own ST), so evaluate them concurrently and keep the
-           lowest-ST acceptable floorplan — the same floorplan the
-           sequential ladder would have accepted first. Each task gets
-           a fresh cache (warm simplex states are domain-local) and a
-           local note collector replayed in ST order afterwards. *)
+           lowest-ST acceptable floorplan — the same ST_target the
+           sequential ladder would have accepted first, though not
+           necessarily the same mapping: each task starts from a cold
+           cache (warm simplex states are domain-local), so its solves
+           can land on a different audited floorplan. Each task also
+           gets a local note collector replayed in ST order
+           afterwards. *)
         (* Speculative ST attempts beyond the pool's effective
            parallelism only burn budget serially; size the window to
            what actually runs concurrently. *)

@@ -5,8 +5,8 @@
    Soundness discipline (the part worth being paranoid about): every
    cut emitted here must be valid for the INTEGER hull of the root
    (presolved) model, not merely for the node relaxation it was
-   separated at — the pool shares cuts across the whole tree and
-   across workers. Concretely:
+   separated at — the pool shares cuts across the whole tree.
+   Concretely:
 
    - Gomory shifts use the GLOBAL variable bounds supplied by the
      caller, never the node-tightened branching bounds. The tableau
@@ -113,7 +113,6 @@ let entry p id =
 
 let get p id = (entry p id).cut
 let is_active p id = (entry p id).active
-let active_flags p = Array.init p.len (fun id -> p.entries.(id).active)
 
 let key terms rhs =
   let b = Buffer.create 64 in
@@ -122,8 +121,8 @@ let key terms rhs =
   Buffer.contents b
 
 (* Admit a separated cut: deduplicated against everything ever seen,
-   rejected when the pool (= the reserved row capacity of the worker
-   states) is full. Returns the new cut's id. *)
+   rejected when the pool (= the reserved row capacity of the solver
+   state) is full. Returns the new cut's id. *)
 let admit p ~provenance ~terms ~rhs =
   if p.len >= p.config.max_cuts then None
   else begin
@@ -150,12 +149,14 @@ let eval_terms terms value =
 
 (* Activity-based aging, fed one LP optimum at a time: an active cut
    with positive slack ages; once it exceeds the configured limit it
-   is deactivated (its row is relaxed in the worker states, it never
-   binds again unless re-violated). An inactive cut violated by the
-   current point re-enters the active set. *)
+   is deactivated (the caller relaxes its row, it never binds again
+   unless re-violated). An inactive cut violated by the current point
+   re-enters the active set. Returns the ids that changed activity, in
+   increasing order. *)
 let observe p value =
   let slack_tol = 1e-7 in
-  for id = 0 to p.len - 1 do
+  let flipped = ref [] in
+  for id = p.len - 1 downto 0 do
     let e = p.entries.(id) in
     let slack = e.cut.rhs -. eval_terms e.cut.terms value in
     if e.active then
@@ -163,7 +164,8 @@ let observe p value =
         e.age <- e.age + 1;
         if e.age > p.config.age_limit then begin
           e.active <- false;
-          p.n_aged_out <- p.n_aged_out + 1
+          p.n_aged_out <- p.n_aged_out + 1;
+          flipped := id :: !flipped
         end
       end
       else begin
@@ -173,9 +175,11 @@ let observe p value =
     else if slack < -.p.config.min_violation then begin
       e.active <- true;
       e.age <- 0;
-      p.n_reactivated <- p.n_reactivated + 1
+      p.n_reactivated <- p.n_reactivated + 1;
+      flipped := id :: !flipped
     end
-  done
+  done;
+  !flipped
 
 type pool_stats = {
   separated : int;

@@ -7,8 +7,7 @@
     {e root} (presolved) model — Gomory shifts use the global variable
     bounds supplied by the caller rather than node-tightened branching
     bounds, and slack substitution goes through the defining row
-    equations — so the pool can share cuts between tree nodes and
-    workers. Validity is enforced twice: numerically at separation
+    equations — so the pool can share cuts between tree nodes. Validity is enforced twice: numerically at separation
     time (worst-case right-hand-side relaxation for dropped
     coefficients, a small safety margin on every cut) and exactly at
     the incumbent via {!check_all} in rational arithmetic. *)
@@ -24,7 +23,7 @@ type provenance =
 val pp_provenance : Format.formatter -> provenance -> unit
 
 type cut = {
-  id : int;           (** pool index; worker row = base rows + id *)
+  id : int;           (** pool index; solver row = base rows + id *)
   provenance : provenance;
   terms : (int * float) list;
       (** structural-variable space, sorted by variable *)
@@ -42,7 +41,7 @@ type config = {
   max_rounds_node : int;  (** separation rounds per eligible tree node *)
   node_depth : int;       (** separate only at nodes of depth <= this *)
   max_cuts : int;
-      (** pool capacity — also the row slots reserved per worker state *)
+      (** pool capacity — also the row slots reserved in the solver state *)
   max_per_round : int;    (** admitted cuts per separation round *)
   min_violation : float;  (** violation needed to accept / reactivate *)
   age_limit : int;
@@ -58,10 +57,9 @@ val enabled : config -> bool
 (** {1 Cut pool}
 
     The pool owns every cut ever admitted. Cuts are append-only — a
-    cut's [id] doubles as its row offset in the worker LP states, so
+    cut's [id] doubles as its row offset in the search's LP state, so
     slots are never reclaimed; deactivation relaxes the row instead
-    ({!Simplex.set_row_enforced}). Under [jobs > 1] the caller guards
-    pool access with the tree mutex. *)
+    ({!Simplex.set_row_enforced}). *)
 
 type pool
 
@@ -74,19 +72,17 @@ val size : pool -> int
 val get : pool -> int -> cut
 val is_active : pool -> int -> bool
 
-val active_flags : pool -> bool array
-(** Snapshot of per-cut activity, indexed by id — what workers diff
-    against to lazily enforce/relax their own cut rows. *)
-
 val admit :
   pool -> provenance:provenance -> terms:(int * float) list -> rhs:float -> int option
 (** Admit a separated cut. [None] when the pool is at capacity or the
     cut duplicates one already seen (exact term/rhs match). *)
 
-val observe : pool -> (int -> float) -> unit
+val observe : pool -> (int -> float) -> int list
 (** Feed one LP optimum to the aging machinery: active cuts with slack
     age (and deactivate past [age_limit]); inactive cuts violated by
-    the point reactivate. *)
+    the point reactivate. Returns the ids whose activity changed, in
+    increasing order, for the caller to relax or re-enforce their
+    rows. *)
 
 type pool_stats = {
   separated : int;   (** cuts ever admitted *)

@@ -5,14 +5,14 @@
     the parent's LP relaxation — indexed by two lazy-deletion heaps so
     the search can pop nodes depth-first, best-bound-first, or with a
     plunge-then-jump hybrid, and can always read the global dual bound
-    (the minimum over open and in-flight nodes) needed for
+    (the minimum over the open nodes and the in-flight one) needed for
     optimality-gap termination.
 
     Determinism: every heap key ends with the node id (assigned in
     creation order), so traversal is a pure function of the insertion
     sequence — independent of hash seeds ([OCAMLRUNPARAM=R]) and of
-    physical addresses. The store itself is not thread-safe; the
-    search serializes access under its incumbent mutex. *)
+    physical addresses. The store has one consumer and is not
+    thread-safe. *)
 
 type strategy =
   | Dfs         (** newest node first: the classic diving search *)
@@ -51,9 +51,8 @@ type node = {
 
 type t
 
-val create : workers:int -> t
-(** A store tracking in-flight nodes for [workers] concurrent
-    consumers (worker ids [0 .. workers-1]). *)
+val create : unit -> t
+(** An empty store. *)
 
 val add :
   t ->
@@ -66,24 +65,20 @@ val add :
 (** Enqueue a node; returns its id (creation order, the deterministic
     tie-break key). *)
 
-val take : t -> wid:int -> strategy -> node option
-(** Pop the next node under [strategy] and mark it in-flight for
-    worker [wid] (its bound keeps anchoring {!dual_bound} until
-    {!finish}). [None] when the open set is empty — in-flight nodes of
-    other workers may still produce children. *)
+val take : t -> strategy -> node option
+(** Pop the next node under [strategy] and mark it in flight (its
+    bound keeps anchoring {!dual_bound} until {!finish}). [None] when
+    the open set is empty. *)
 
-val finish : t -> wid:int -> unit
-(** Close worker [wid]'s in-flight node: it was solved and either
-    pruned, integral, infeasible, or its children were {!add}ed. Not
-    calling this (search aborted mid-node) conservatively keeps the
-    node's bound in {!dual_bound}. *)
-
-val open_count : t -> int
-val active_count : t -> int
+val finish : t -> unit
+(** Close the in-flight node: it was solved and either pruned,
+    integral, infeasible, or its children were {!add}ed. Not calling
+    this (search aborted mid-node) conservatively keeps the node's
+    bound in {!dual_bound}. *)
 
 val dual_bound : t -> float
 (** Global dual bound in minimize-sign space: the minimum over every
-    open and in-flight node. [infinity] when the tree is drained (the
+    open node and the in-flight one. [infinity] when the tree is drained (the
     incumbent, if any, is proven optimal). Monotone non-decreasing
     over a run: children inherit their parent's relaxation objective,
     which is never below the parent's own bound. *)

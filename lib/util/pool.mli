@@ -1,11 +1,12 @@
 (** Fixed-size work-sharing domain pool.
 
-    The solver stack is embarrassingly parallel at three levels —
-    branch & bound subtrees, independent per-context ILPs, and the
-    Table-I benchmark sweep — and OCaml 5 domains are the unit of
-    hardware parallelism. Spawning a domain costs milliseconds, so a
-    pool is created once ({!create} or the memoizing {!get}) and
-    reused for every batch.
+    The solver stack is embarrassingly parallel at three levels — the
+    Δ-relaxation window and the independent per-context ILPs of one
+    remap, and the Table-I benchmark sweep — and the remap daemon
+    serves requests on several worker domains. OCaml 5 domains are
+    the unit of hardware parallelism. Spawning a domain costs
+    milliseconds, so a pool is created once ({!create} or the
+    memoizing {!get}) and reused for every batch.
 
     Submission model: a batch of tasks is pushed to the pool and the
     {e submitting thread participates} in executing it (work sharing).
@@ -44,9 +45,9 @@ val create : domains:int -> t
 
 val get : ?clamp:bool -> int -> t
 (** [get domains] is a process-global memoized pool — the "spawn once,
-    reuse everywhere" entry point used by [Milp.params.jobs] and the
-    suite driver. Pools obtained this way are shut down automatically
-    at exit.
+    reuse everywhere" entry point used by the Remap fan-out
+    ([Remap.params.jobs]) and the suite driver. Pools obtained this
+    way are shut down automatically at exit.
 
     By default the requested size is clamped to
     {!default_jobs}[ ()]: running more domains than cores
@@ -82,8 +83,8 @@ val map_budgeted :
 val run : t -> (unit -> unit) array -> unit
 (** [run pool bodies] executes every body concurrently and returns
     when all have finished — the building block for worker-loop
-    parallelism (parallel branch & bound runs one node-pump per
-    domain). Exception policy as {!map}. *)
+    parallelism (the remap daemon runs one worker loop per domain).
+    Exception policy as {!map}. *)
 
 val request_stop : t -> unit
 (** Async-signal-safe stop request: a single atomic store, no locks,

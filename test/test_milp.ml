@@ -107,8 +107,8 @@ let prop_branching_rules_agree =
       | Milp.Infeasible, Milp.Infeasible -> true
       | _ -> false)
 
-(* Every traversal x branching x jobs combination lands on the same
-   optimum of the structured instance. *)
+(* Every traversal x branching combination lands on the same optimum
+   of the structured instance. *)
 let test_combination_matrix () =
   let m = structured_model () in
   let reference =
@@ -118,26 +118,20 @@ let test_combination_matrix () =
     (fun traversal ->
       List.iter
         (fun branching ->
-          List.iter
-            (fun jobs ->
-              let params = { base_params with Milp.traversal; branching; jobs } in
-              let sol = get_feasible (Milp.solve ~params m) in
-              Alcotest.(check (float 1e-6))
-                (Printf.sprintf "%s/%s/jobs=%d"
-                   (Node_store.strategy_to_string traversal)
-                   (Brancher.rule_to_string branching)
-                   jobs)
-                reference sol.Simplex.objective)
-            [ 1; 2 ])
+          let params = { base_params with Milp.traversal; branching } in
+          let sol = get_feasible (Milp.solve ~params m) in
+          Alcotest.(check (float 1e-6))
+            (Printf.sprintf "%s/%s"
+               (Node_store.strategy_to_string traversal)
+               (Brancher.rule_to_string branching))
+            reference sol.Simplex.objective)
         [ Brancher.Pseudocost; Brancher.Most_fractional ])
     [ Node_store.Dfs; Node_store.Best_first; Node_store.Hybrid ]
 
-(* jobs = 1 must be the sequential search itself, bit for bit. *)
-let test_jobs1_identical_to_sequential () =
+(* The search is deterministic run to run, bit for bit. *)
+let test_search_deterministic () =
   let m = structured_model () in
-  let solve () =
-    Milp.solve_with_stats ~params:{ base_params with Milp.jobs = 1 } m
-  in
+  let solve () = Milp.solve_with_stats ~params:base_params m in
   let r1, s1 = solve () in
   let r2, s2 = solve () in
   let a = get_feasible r1 and b = get_feasible r2 in
@@ -311,13 +305,15 @@ let test_cut_pool_aging () =
     (Cuts.admit pool ~provenance:(Cuts.Cover { row = 0 }) ~terms:[ (0, 1.0) ] ~rhs:0.0
     = None);
   Alcotest.(check bool) "fresh cut active" true (Cuts.is_active pool id);
-  (* Slack observations age the cut past the limit and deactivate it. *)
-  Cuts.observe pool (fun _ -> -1.0);
-  Cuts.observe pool (fun _ -> -1.0);
+  (* Slack observations age the cut past the limit and deactivate it;
+     only the observation that flips it reports it. *)
+  Alcotest.(check (list int)) "aging, no flip" [] (Cuts.observe pool (fun _ -> -1.0));
+  Alcotest.(check (list int)) "deactivation flip" [ id ]
+    (Cuts.observe pool (fun _ -> -1.0));
   Alcotest.(check bool) "aged out" false (Cuts.is_active pool id);
   Alcotest.(check int) "aged-out counted" 1 (Cuts.pool_stats pool).Cuts.aged_out;
   (* A violating point reactivates it. *)
-  Cuts.observe pool (fun _ -> 1.0);
+  Alcotest.(check (list int)) "reactivation flip" [ id ] (Cuts.observe pool (fun _ -> 1.0));
   Alcotest.(check bool) "reactivated" true (Cuts.is_active pool id);
   Alcotest.(check int) "reactivation counted" 1 (Cuts.pool_stats pool).Cuts.reactivated
 
@@ -404,7 +400,7 @@ let test_cuts_reduce_work () =
 
 let test_node_store_order () =
   let mk () =
-    let t = Node_store.create ~workers:1 in
+    let t = Node_store.create () in
     ignore
       (Node_store.add t ~parent:(-1) ~depth:0 ~bound:neg_infinity ~fixes:[] ~branch:None);
     List.iter
@@ -416,10 +412,10 @@ let test_node_store_order () =
   let drain strategy =
     let t = mk () in
     let rec go acc =
-      match Node_store.take t ~wid:0 strategy with
+      match Node_store.take t strategy with
       | None -> List.rev acc
       | Some n ->
-        Node_store.finish t ~wid:0;
+        Node_store.finish t;
         go (n.Node_store.id :: acc)
     in
     go []
@@ -429,25 +425,28 @@ let test_node_store_order () =
     "best-first by (bound, id)" [ 0; 2; 3; 1 ] (drain Node_store.Best_first)
 
 let test_node_store_dual_bound () =
-  let t = Node_store.create ~workers:1 in
+  let t = Node_store.create () in
   ignore
     (Node_store.add t ~parent:(-1) ~depth:0 ~bound:neg_infinity ~fixes:[] ~branch:None);
   Alcotest.(check (float 0.0)) "root bound" neg_infinity (Node_store.dual_bound t);
-  (match Node_store.take t ~wid:0 Node_store.Best_first with
+  (match Node_store.take t Node_store.Best_first with
   | Some n -> Alcotest.(check int) "root popped" 0 n.Node_store.id
   | None -> Alcotest.fail "empty store");
   (* In flight: the root's bound still anchors the dual bound. *)
   Alcotest.(check (float 0.0)) "in-flight bound" neg_infinity (Node_store.dual_bound t);
   ignore (Node_store.add t ~parent:0 ~depth:1 ~bound:5.0 ~fixes:[] ~branch:None);
   ignore (Node_store.add t ~parent:0 ~depth:1 ~bound:7.0 ~fixes:[] ~branch:None);
-  Node_store.finish t ~wid:0;
+  Node_store.finish t;
   Alcotest.(check (float 0.0)) "frontier min" 5.0 (Node_store.dual_bound t);
-  (match Node_store.take t ~wid:0 Node_store.Best_first with
+  (match Node_store.take t Node_store.Best_first with
   | Some n -> Alcotest.(check (float 0.0)) "best child" 5.0 n.Node_store.bound
   | None -> Alcotest.fail "empty store");
-  Node_store.finish t ~wid:0;
-  (match Node_store.take t ~wid:0 Node_store.Best_first with
-  | Some _ -> Node_store.finish t ~wid:0
+  (* The in-flight child, not the open sibling at 7, sets the bound. *)
+  Alcotest.(check (float 0.0)) "in-flight child" 5.0 (Node_store.dual_bound t);
+  Node_store.finish t;
+  Alcotest.(check (float 0.0)) "sibling left" 7.0 (Node_store.dual_bound t);
+  (match Node_store.take t Node_store.Best_first with
+  | Some _ -> Node_store.finish t
   | None -> Alcotest.fail "empty store");
   Alcotest.(check (float 0.0)) "drained" infinity (Node_store.dual_bound t)
 
@@ -479,8 +478,7 @@ let () =
       ( "tree",
         [
           Alcotest.test_case "combination matrix" `Quick test_combination_matrix;
-          Alcotest.test_case "jobs=1 deterministic" `Quick
-            test_jobs1_identical_to_sequential;
+          Alcotest.test_case "search deterministic" `Quick test_search_deterministic;
           Alcotest.test_case "proof closes gap" `Quick test_proof_closes_gap;
           Alcotest.test_case "node-limit gap honest" `Quick test_node_limit_gap_honest;
         ] );
