@@ -1257,9 +1257,9 @@ let bench_smoke_lp () =
   let json_leg (stats : Milp.stats) dt =
     Printf.sprintf
       "{\"seconds\": %.4f, \"nodes\": %d, \"lp_iterations\": %d, \"warm_solves\": %d, \
-       \"cold_solves\": %d}"
+       \"cold_solves\": %d, \"dual_flips\": %d, \"dual_stalls\": %d}"
       dt stats.Milp.nodes stats.Milp.lp_iterations stats.Milp.warm_solves
-      stats.Milp.cold_solves
+      stats.Milp.cold_solves stats.Milp.dual_flips stats.Milp.dual_stalls
   in
   let json_kernel (stats : Milp.stats) dt =
     Printf.sprintf

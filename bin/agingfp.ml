@@ -171,6 +171,8 @@ let solver_stats_table () =
       row "LP iterations" s.Milp.lp_iterations;
       row "basis refactorizations" s.Milp.refactorizations;
       row "drift refreshes" s.Milp.drift_refreshes;
+      row "dual repair flips" s.Milp.dual_flips;
+      row "dual repair stalls" s.Milp.dual_stalls;
       row "eta updates" s.Milp.eta_updates;
       row "peak basis fill (nnz)" s.Milp.fill_in;
       row "presolve rounds" p.Agingfp_lp.Presolve.rounds;

@@ -345,25 +345,9 @@ let cached_lp_solve ~certify ~budget ~stats_note ~get ~set ~build ~st_target ~co
   Simplex.set_budget st budget;
   let s0 = Simplex.state_stats st in
   let status = if fresh then Simplex.solve_state st else Simplex.reoptimize st in
-  let s1 = Simplex.state_stats st in
-  let warm = s1.Simplex.warm_solves > s0.Simplex.warm_solves in
-  let iterations = s1.Simplex.lp_iterations - s0.Simplex.lp_iterations in
-  Milp.note_lp_solve ~warm ~iterations
-    ~refactorizations:(s1.Simplex.refactorizations - s0.Simplex.refactorizations)
-    ~eta_updates:(s1.Simplex.eta_updates - s0.Simplex.eta_updates)
-    ~fill_in:s1.Simplex.fill_in
-    ~drift_refreshes:(s1.Simplex.drift_refreshes - s0.Simplex.drift_refreshes) ();
-  stats_note ~milp:false
-    {
-      Milp.zero_stats with
-      Milp.warm_solves = (if warm then 1 else 0);
-      cold_solves = (if warm then 0 else 1);
-      lp_iterations = iterations;
-      refactorizations = s1.Simplex.refactorizations - s0.Simplex.refactorizations;
-      eta_updates = s1.Simplex.eta_updates - s0.Simplex.eta_updates;
-      fill_in = s1.Simplex.fill_in;
-      drift_refreshes = s1.Simplex.drift_refreshes - s0.Simplex.drift_refreshes;
-    };
+  let delta = Milp.lp_solve_stats ~before:s0 ~after:(Simplex.state_stats st) in
+  Milp.note_lp_solve delta;
+  stats_note ~milp:false delta;
   (match status with
   | Simplex.Optimal sol when certify ->
     (* [set_st_target] keeps the instance's model current, so the

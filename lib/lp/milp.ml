@@ -47,6 +47,8 @@ type stats = {
   eta_updates : int;
   fill_in : int;
   drift_refreshes : int;
+  dual_flips : int;
+  dual_stalls : int;
   dual_bound : float;
   gap : float;
   stop : Budget.stop_reason;
@@ -68,6 +70,8 @@ let zero_stats =
     eta_updates = 0;
     fill_in = 0;
     drift_refreshes = 0;
+    dual_flips = 0;
+    dual_stalls = 0;
     dual_bound = Float.nan;
     gap = 0.0;
     stop = Budget.Optimal;
@@ -92,6 +96,8 @@ let add_stats a b =
     (* Fill is a footprint, not a flow: aggregate the peak. *)
     fill_in = max a.fill_in b.fill_in;
     drift_refreshes = a.drift_refreshes + b.drift_refreshes;
+    dual_flips = a.dual_flips + b.dual_flips;
+    dual_stalls = a.dual_stalls + b.dual_stalls;
     (* Dual bounds of different models are not comparable; keep the
        most recent solve's (aggregation order is chronological). *)
     dual_bound = (if Float.is_nan b.dual_bound then a.dual_bound else b.dual_bound);
@@ -112,11 +118,11 @@ let pp_stats ppf s =
     "%d nodes, %d warm / %d cold LP solves, %d LP iterations, gap %g (dual bound %g), \
      stop %a; cuts: %d separated, %d active, %d aged out (root gap closed %g); \
      heuristics: %d incumbents; kernel: %d refactorizations (%d drift), %d eta updates, \
-     peak fill %d; presolve: %a"
+     peak fill %d; warm repair: %d bound flips, %d stalls; presolve: %a"
     s.nodes s.warm_solves s.cold_solves s.lp_iterations s.gap s.dual_bound
     Budget.pp_stop_reason s.stop s.cuts_separated s.cuts_active s.cuts_aged_out
     s.root_gap_closed s.heuristic_incumbents s.refactorizations s.drift_refreshes
-    s.eta_updates s.fill_in Presolve.pp_reductions s.presolve
+    s.eta_updates s.fill_in s.dual_flips s.dual_stalls Presolve.pp_reductions s.presolve
 
 (* Cumulative counters across all solves since the last reset — the
    remap pipeline runs many MILPs/LPs per floorplan, and the CLI
@@ -133,19 +139,21 @@ let reset_cumulative () = with_cum (fun () -> cum := zero_stats)
 let cumulative () = with_cum (fun () -> !cum)
 let accumulate s = with_cum (fun () -> cum := add_stats !cum s)
 
-let note_lp_solve ?(refactorizations = 0) ?(eta_updates = 0) ?(fill_in = 0)
-    ?(drift_refreshes = 0) ~warm ~iterations () =
-  accumulate
-    {
-      zero_stats with
-      warm_solves = (if warm then 1 else 0);
-      cold_solves = (if warm then 0 else 1);
-      lp_iterations = iterations;
-      refactorizations;
-      eta_updates;
-      fill_in;
-      drift_refreshes;
-    }
+let note_lp_solve = accumulate
+
+let lp_solve_stats ~(before : Simplex.state_stats) ~(after : Simplex.state_stats) =
+  {
+    zero_stats with
+    warm_solves = after.warm_solves - before.warm_solves;
+    cold_solves = after.cold_solves - before.cold_solves;
+    lp_iterations = after.lp_iterations - before.lp_iterations;
+    refactorizations = after.refactorizations - before.refactorizations;
+    eta_updates = after.eta_updates - before.eta_updates;
+    fill_in = after.fill_in;
+    drift_refreshes = after.drift_refreshes - before.drift_refreshes;
+    dual_flips = after.dual_flips - before.dual_flips;
+    dual_stalls = after.dual_stalls - before.dual_stalls;
+  }
 
 let pp_result ppf = function
   | Feasible s -> Format.fprintf ppf "feasible (obj = %g)" s.objective
@@ -301,6 +309,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
   let wmodel = Model.copy model in
   let extra_rows = if cuts_on then cut_cfg.Cuts.max_cuts else 0 in
   let st = Simplex.assemble ~params:lp_params ~extra_rows wmodel in
+  let k0 = Simplex.state_stats st in
   let solved_once = ref false in
   let applied = ref [] in
   (* Cuts whose activity the last [Cuts.observe] flipped; their rows
@@ -610,14 +619,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
   ( !incumbent,
     !budget_hit,
     {
-      zero_stats with
-      warm_solves = k.Simplex.warm_solves;
-      cold_solves = k.Simplex.cold_solves;
-      lp_iterations = k.Simplex.lp_iterations;
-      refactorizations = k.Simplex.refactorizations;
-      eta_updates = k.Simplex.eta_updates;
-      fill_in = k.Simplex.fill_in;
-      drift_refreshes = k.Simplex.drift_refreshes;
+      (lp_solve_stats ~before:k0 ~after:k) with
       nodes = !nodes;
       stop = !stop;
       dual_bound = sign *. dual_sign;
@@ -697,19 +699,19 @@ let relax_and_fix_with_stats ?(threshold = 0.95) ?(params = default_params) mode
   in
   match root_status with
   | Simplex.Infeasible ->
-    note_lp_solve ~warm:false ~iterations:0 ();
+    note_lp_solve (root_stats ~iterations:0);
     (Infeasible, root_stats ~iterations:0)
   | Simplex.Unbounded | Simplex.Iteration_limit ->
-    note_lp_solve ~warm:false ~iterations:0 ();
+    note_lp_solve (root_stats ~iterations:0);
     (Unknown, { (root_stats ~iterations:0) with gap = infinity })
   | Simplex.Deadline ->
-    note_lp_solve ~warm:false ~iterations:0 ();
+    note_lp_solve (root_stats ~iterations:0);
     (Unknown, { (root_stats ~iterations:0) with stop = Budget.Deadline; gap = infinity })
   | Simplex.Fault msg ->
-    note_lp_solve ~warm:false ~iterations:0 ();
+    note_lp_solve (root_stats ~iterations:0);
     (Unknown, { (root_stats ~iterations:0) with stop = Budget.Fault msg; gap = infinity })
   | Simplex.Optimal relaxed ->
-    note_lp_solve ~warm:false ~iterations:relaxed.iterations ();
+    note_lp_solve (root_stats ~iterations:relaxed.iterations);
     let int_vars = Model.integer_vars model0 in
     let fixed = Model.copy model0 in
     let nfixed = ref 0 in

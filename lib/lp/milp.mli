@@ -112,6 +112,10 @@ type stats = {
   fill_in : int;        (** peak nonzeros of live factors + eta file *)
   drift_refreshes : int;
       (** refactorizations forced by measured residual drift *)
+  dual_flips : int;
+      (** bound flips of the warm dual repair ({!Simplex.state_stats}) *)
+  dual_stalls : int;
+      (** warm repairs that fell back to a cold solve *)
   dual_bound : float;
       (** global dual bound in the original objective space: a lower
           bound for minimization, an upper bound for maximization.
@@ -161,19 +165,15 @@ val reset_cumulative : unit -> unit
 
 val cumulative : unit -> stats
 
-val note_lp_solve :
-  ?refactorizations:int ->
-  ?eta_updates:int ->
-  ?fill_in:int ->
-  ?drift_refreshes:int ->
-  warm:bool ->
-  iterations:int ->
-  unit ->
-  unit
+val note_lp_solve : stats -> unit
 (** Record a bare {!Simplex} solve performed outside [Milp] (the remap
     pipeline solves many standalone LP relaxations) so it shows up in
-    {!cumulative}; the optional arguments carry the kernel-counter
-    deltas from {!Simplex.state_stats} (all default to [0]). *)
+    {!cumulative}; build its counters with {!lp_solve_stats}. *)
+
+val lp_solve_stats : before:Simplex.state_stats -> after:Simplex.state_stats -> stats
+(** The LP counters a solver state gained between two
+    {!Simplex.state_stats} readings (fill, a footprint, is [after]'s);
+    every other field is {!zero_stats}'s. *)
 
 (** {1 Solving} *)
 

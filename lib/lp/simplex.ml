@@ -89,6 +89,8 @@ type state = {
   mutable n_warm : int;
   mutable n_cold : int;
   mutable n_iters : int;
+  mutable n_dual_flips : int;
+  mutable n_dual_stalls : int;
 }
 
 type state_stats = {
@@ -99,6 +101,8 @@ type state_stats = {
   eta_updates : int;
   fill_in : int;
   drift_refreshes : int;
+  dual_flips : int;
+  dual_stalls : int;
 }
 
 let state_stats st =
@@ -110,6 +114,8 @@ let state_stats st =
     eta_updates = Basis.eta_updates st.bas;
     fill_in = Basis.fill_in st.bas;
     drift_refreshes = Basis.drift_refreshes st.bas;
+    dual_flips = st.n_dual_flips;
+    dual_stalls = st.n_dual_stalls;
   }
 
 let col_dot st y j =
@@ -461,6 +467,8 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
     n_warm = 0;
     n_cold = 0;
     n_iters = 0;
+    n_dual_flips = 0;
+    n_dual_stalls = 0;
   }
 
 (* Rebuild the initial slack/artificial basis from the current bounds
@@ -775,6 +783,36 @@ let tableau_row st ~pos =
 
 type dual_result = Dual_feasible | Dual_infeasible | Dual_stall | Dual_deadline
 
+(* Newest-first (key, value) memo of one basis epoch, capped at
+   [memo_slots] entries: an epoch rarely sees more than two distinct
+   leaving rows or entering columns. *)
+let memo_slots = 4
+
+let rec memo_find key = function
+  | [] -> None
+  | (k, v) :: rest -> if k = (key : int) then Some v else memo_find key rest
+
+let memo_add key v memo = (key, v) :: List.filteri (fun i _ -> i < memo_slots - 1) memo
+
+(* The cycle stop keeps the most recent [cycle_window] iteration
+   states of an epoch, which catches every period up to that length
+   at its first repeat. *)
+let cycle_window = 64
+
+let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Bit pattern hash of x_B, the cheap first test of the cycle stop. *)
+let hash_x_b st =
+  let h = ref 0 in
+  for i = 0 to st.m - 1 do
+    h := (!h * 31) + Int64.to_int (Int64.bits_of_float st.x_b.(i))
+  done;
+  !h
+
+(* One iteration state of an epoch: x_B and the values of the columns
+   flipped so far in the epoch, in first-flip order. *)
+type snapshot = { hash : int; xb : float array; flipped_vals : float array }
+
 (* Dual-simplex-style recovery: restore primal feasibility of the
    basic values from the current basis, picking leaving rows by worst
    bound violation and entering columns by the dual ratio test. A
@@ -783,17 +821,132 @@ type dual_result = Dual_feasible | Dual_infeasible | Dual_stall | Dual_deadline
    updates or measurable residual drift, it is refactorized once and
    the verdict re-derived — a fresh drift-free factorization passes
    straight through instead of paying the old unconditional dense
-   refresh. *)
+   refresh.
+
+   Work is paid per basis, not per iteration. Most iterations are
+   bound flips, which move x_B and one nonbasic value but leave the
+   basis and its factors alone, so the loop keeps a basis epoch —
+   moved by every pivot and refactorization — and reuses within it
+   the dual vector y, the reduced costs, the α row of each leaving
+   row (as its sparse list of eligible columns) and the ftran image
+   of each entering column. The reused values come from the same
+   calls on the same factors, so every verdict and pivot is what a
+   recomputation would give.
+
+   Within an epoch the loop is a function of x_B and the nonbasic
+   values alone, so a bitwise repeat of both at the top of an
+   iteration means it cycles through bound flips and could only end
+   at [max_iter]: it stalls at once, and [reoptimize] falls back to
+   a cold solve as it would have after the cap. *)
 let dual_restore st =
   let m = st.m in
   if m = 0 then Dual_feasible
   else begin
     let feas_tol = st.params.feasibility_tol in
     let piv_tol = 1e-9 in
-    let w = Array.make m 0.0 in
-    let y = Array.make m 0.0 in
-    let brow = Array.make m 0.0 in
     let max_iter = (4 * (m + 1)) + 200 in
+    let ncols = st.ncols in
+    let epoch = ref 0 in
+    let y = Array.make m 0.0 and y_epoch = ref (-1) in
+    let d = Array.make ncols 0.0 and d_epoch = Array.make ncols (-1) in
+    let brow = Array.make m 0.0 in
+    let alpha_rows = ref [] and w_cols = ref [] in
+    (* Columns flipped this epoch, in first-flip order, with their
+       values at the start of the epoch; every other nonbasic value is
+       constant within it. *)
+    let flipped = ref [||] and flipped_start = ref [||] in
+    let ring = Array.make cycle_window { hash = 0; xb = [||]; flipped_vals = [||] } in
+    let n_snapshots = ref 0 in
+    let new_epoch () =
+      incr epoch;
+      alpha_rows := [];
+      w_cols := [];
+      flipped := [||];
+      flipped_start := [||];
+      n_snapshots := 0
+    in
+    (* Every refactorization below starts a new epoch. *)
+    let refactorize ?drift_triggered st =
+      refactorize ?drift_triggered st;
+      new_epoch ()
+    in
+    let reduced_cost j =
+      if d_epoch.(j) <> !epoch then begin
+        if !y_epoch <> !epoch then begin
+          dual_vector st st.cost2 y;
+          y_epoch := !epoch
+        end;
+        d.(j) <- st.cost2.(j) -. col_dot st y j;
+        d_epoch.(j) <- !epoch
+      end;
+      d.(j)
+    in
+    (* Row r of B⁻¹A over the columns that can enter: nonbasic, not
+       fixed, |α_j| above the pivot tolerance; ascending j. *)
+    let alpha_row r =
+      match memo_find r !alpha_rows with
+      | Some row -> row
+      | None ->
+        Basis.btran_unit st.bas r brow;
+        let js = ref [] and alphas = ref [] in
+        for j = ncols - 1 downto 0 do
+          if st.pos_in_basis.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
+            let alpha = col_dot st brow j in
+            if abs_float alpha > piv_tol then begin
+              js := j :: !js;
+              alphas := alpha :: !alphas
+            end
+          end
+        done;
+        let row = (Array.of_list !js, Array.of_list !alphas) in
+        alpha_rows := memo_add r row !alpha_rows;
+        row
+    in
+    let ftran_col e =
+      match memo_find e !w_cols with
+      | Some w -> w
+      | None ->
+        let w = Array.make m 0.0 in
+        ftran st e w;
+        w_cols := memo_add e w !w_cols;
+        w
+    in
+    let note_flip e start =
+      if not (Array.exists (fun j -> j = e) !flipped) then begin
+        flipped := Array.append !flipped [| e |];
+        flipped_start := Array.append !flipped_start [| start |]
+      end
+    in
+    let same_state hash s =
+      let rec same_x i = i = m || (float_bits_equal s.xb.(i) st.x_b.(i) && same_x (i + 1)) in
+      let rec same_vals k =
+        k = Array.length !flipped
+        || (let was =
+              if k < Array.length s.flipped_vals then s.flipped_vals.(k) else !flipped_start.(k)
+            in
+            float_bits_equal was st.vals.(!flipped.(k)) && same_vals (k + 1))
+      in
+      s.hash = hash && same_x 0 && same_vals 0
+    in
+    (* Records the state at the top of an iteration; true when it
+       repeats one of the epoch. *)
+    let repeats () =
+      let hash = hash_x_b st in
+      let rec seen k =
+        k < min !n_snapshots cycle_window && (same_state hash ring.(k) || seen (k + 1))
+      in
+      seen 0
+      || begin
+        ring.(!n_snapshots mod cycle_window) <-
+          {
+            hash;
+            xb = Array.sub st.x_b 0 m;
+            flipped_vals = Array.map (fun j -> st.vals.(j)) !flipped;
+          };
+        incr n_snapshots;
+        false
+      end
+    in
     let rec loop iter refreshed =
       (* Eta-file hygiene before the violation scan: refreshing here
          also re-derives x_B, so the leaving-row choice below is made
@@ -815,47 +968,42 @@ let dual_restore st =
       if !r < 0 then Dual_feasible
       else if iter >= max_iter then Dual_stall
       else if Budget.expired st.budget then Dual_deadline
+      else if repeats () then Dual_stall
       else begin
         if Faults.active () then Faults.checkpoint ~where:"Simplex.dual_restore";
         let r = !r in
         let lv = st.basis.(r) in
         let below = st.x_b.(r) < st.lb.(lv) in
         let target = if below then st.lb.(lv) else st.ub.(lv) in
-        dual_vector st st.cost2 y;
-        Basis.btran_unit st.bas r brow;
+        let js, alphas = alpha_row r in
         let best = ref (-1) in
         let best_ratio = ref infinity in
         let best_alpha = ref 0.0 in
         let best_dir = ref 1.0 in
-        for j = 0 to st.ncols - 1 do
-          if st.pos_in_basis.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
-            let alpha = col_dot st brow j in
-            if abs_float alpha > piv_tol then begin
-              let v = st.vals.(j) in
-              let at_lb = st.lb.(j) > neg_infinity && v <= st.lb.(j) +. 1e-12 in
-              let at_ub = st.ub.(j) < infinity && v >= st.ub.(j) -. 1e-12 in
-              (* x_b(r) moves by -(dir * alpha) per unit step of j. *)
-              let dir =
-                if at_lb && at_ub then 0.0
-                else if at_lb then (if (if below then -.alpha else alpha) > 0.0 then 1.0 else 0.0)
-                else if at_ub then (if (if below then alpha else -.alpha) > 0.0 then -1.0 else 0.0)
-                else if below then (if alpha < 0.0 then 1.0 else -1.0)
-                else if alpha > 0.0 then 1.0
-                else -1.0
-              in
-              if not (Float.equal dir 0.0) then begin
-                let d = st.cost2.(j) -. col_dot st y j in
-                let ratio = abs_float d /. abs_float alpha in
-                if
-                  ratio < !best_ratio -. 1e-12
-                  || (ratio <= !best_ratio +. 1e-12 && abs_float alpha > abs_float !best_alpha)
-                then begin
-                  best := j;
-                  best_ratio := ratio;
-                  best_alpha := alpha;
-                  best_dir := dir
-                end
-              end
+        for k = 0 to Array.length js - 1 do
+          let j = js.(k) and alpha = alphas.(k) in
+          let v = st.vals.(j) in
+          let at_lb = st.lb.(j) > neg_infinity && v <= st.lb.(j) +. 1e-12 in
+          let at_ub = st.ub.(j) < infinity && v >= st.ub.(j) -. 1e-12 in
+          (* x_b(r) moves by -(dir * alpha) per unit step of j. *)
+          let dir =
+            if at_lb && at_ub then 0.0
+            else if at_lb then (if (if below then -.alpha else alpha) > 0.0 then 1.0 else 0.0)
+            else if at_ub then (if (if below then alpha else -.alpha) > 0.0 then -1.0 else 0.0)
+            else if below then (if alpha < 0.0 then 1.0 else -1.0)
+            else if alpha > 0.0 then 1.0
+            else -1.0
+          in
+          if not (Float.equal dir 0.0) then begin
+            let ratio = abs_float (reduced_cost j) /. abs_float alpha in
+            if
+              ratio < !best_ratio -. 1e-12
+              || (ratio <= !best_ratio +. 1e-12 && abs_float alpha > abs_float !best_alpha)
+            then begin
+              best := j;
+              best_ratio := ratio;
+              best_alpha := alpha;
+              best_dir := dir
             end
           end
         done;
@@ -877,7 +1025,7 @@ let dual_restore st =
         if !best < 0 then confirm Dual_infeasible (fun () -> loop iter true)
         else begin
           let e = !best and dir = !best_dir in
-          ftran st e w;
+          let w = ftran_col e in
           if abs_float w.(r) < piv_tol then
             confirm Dual_stall (fun () -> loop iter true)
           else begin
@@ -889,6 +1037,8 @@ let dual_restore st =
               (* The entering variable hits the bound in its movement
                  direction before the leaving row reaches feasibility:
                  bound flip (range = travel_limit, snap is exact). *)
+              note_flip e st.vals.(e);
+              st.n_dual_flips <- st.n_dual_flips + 1;
               st.vals.(e) <- (if dir > 0.0 then st.ub.(e) else st.lb.(e));
               for i = 0 to m - 1 do
                 st.x_b.(i) <- st.x_b.(i) -. (range *. dir *. w.(i))
@@ -897,6 +1047,7 @@ let dual_restore st =
             end
             else begin
               apply_pivot st r e dir t target w;
+              new_epoch ();
               loop (iter + 1) refreshed
             end
           end
@@ -944,6 +1095,7 @@ let reoptimize st =
       (* Numerical trouble along the warm path: fall back to a cold
          solve from a fresh slack/artificial basis. *)
       Log.debug (fun k -> k "warm re-optimization stalled; cold restart");
+      st.n_dual_stalls <- st.n_dual_stalls + 1;
       solve_state st
   end
 

@@ -192,6 +192,12 @@ type state_stats = {
   fill_in : int;       (** nonzeros of the live factors + eta file *)
   drift_refreshes : int;
       (** refactorizations forced by measured residual drift *)
+  dual_flips : int;
+      (** bound flips of the warm dual repair: iterations that move a
+          nonbasic column to its other bound without a basis change *)
+  dual_stalls : int;
+      (** warm repairs that fell back to a cold phase-1 solve (a flip
+          cycle, the repair's iteration cap or a singular basis) *)
 }
 
 val state_stats : state -> state_stats

@@ -643,6 +643,46 @@ let test_reoptimize_restored_bounds_interior () =
   Alcotest.(check bool) "restored solution feasible" true
     (Model.check_feasible m (fun v -> s.Simplex.values.(v)) = Ok ())
 
+let test_reoptimize_flip_cycle () =
+  (* max 15a + 9b + 15c + 9d over [0,1]^4 under three <= 8 rows, then
+     fix b = 1 (the first row alone then forces a = c = d = 0). The
+     warm dual repair ping-pongs between two bound flips without a
+     basis change; the cycle stop must give it up at the first
+     repeated state, well before the repair's 4(m+1)+200 = 216
+     iteration cap, and the cold fallback must agree with a cold solve
+     of the edited model. *)
+  let build ~b_lb =
+    let m = Model.create () in
+    let x = Array.init 4 (fun i -> Model.add_var ~lb:(if i = 1 then b_lb else 0.0) ~ub:1.0 m) in
+    let row coefs =
+      ignore
+        (Model.add_constraint m
+           (Expr.sum (List.mapi (fun i c -> Expr.var ~coef:c x.(i)) coefs))
+           Model.Le 8.0)
+    in
+    row [ 4.0; 8.0; 4.0; 7.0 ];
+    row [ 12.0; 6.0; 10.0; 13.0 ];
+    row [ 9.0; 7.0; 6.0; 6.0 ];
+    Model.set_objective m Model.Maximize
+      (Expr.sum (List.mapi (fun i c -> Expr.var ~coef:c x.(i)) [ 15.0; 9.0; 15.0; 9.0 ]));
+    m
+  in
+  let st = Simplex.assemble (build ~b_lb:0.0) in
+  ignore (get_optimal (Simplex.solve_state st));
+  Simplex.set_var_bounds st 1 ~lb:1.0 ~ub:1.0;
+  let s0 = Simplex.state_stats st in
+  let warm = get_optimal (Simplex.reoptimize st) in
+  let s1 = Simplex.state_stats st in
+  let cold = get_optimal (Simplex.solve (build ~b_lb:1.0)) in
+  Alcotest.(check (float 1e-9)) "objective matches cold" cold.Simplex.objective
+    warm.Simplex.objective;
+  Alcotest.(check (float 1e-9)) "objective" 9.0 warm.Simplex.objective;
+  Alcotest.(check bool) "repair stalled to cold" true
+    (s1.Simplex.dual_stalls - s0.Simplex.dual_stalls >= 1);
+  Alcotest.(check bool) "flips counted" true (s1.Simplex.dual_flips > s0.Simplex.dual_flips);
+  Alcotest.(check bool) "stopped before the iteration cap" true
+    (s1.Simplex.lp_iterations - s0.Simplex.lp_iterations < 216)
+
 (* ---------- MILP ---------- *)
 
 let test_milp_knapsack () =
@@ -1378,6 +1418,8 @@ let () =
           Alcotest.test_case "Beale anti-cycling" `Quick test_lp_beale_cycling;
           Alcotest.test_case "warm restore leaves interior nonbasic" `Quick
             test_reoptimize_restored_bounds_interior;
+          Alcotest.test_case "warm repair flip cycle falls back cold" `Quick
+            test_reoptimize_flip_cycle;
           Alcotest.test_case "kernel counters" `Quick test_kernel_counters;
         ] );
       ( "presolve",
