@@ -599,7 +599,7 @@ let bench_presolve () =
       match out with
       | Presolve.Proven_infeasible msg ->
         (* Some Freeze-mode joint formulations are genuinely infeasible
-           (Remap's degradation ladder handles those downstream); the
+           (Remap's Δ-climb handles those downstream); the
            claim counts as certified when the plain solver agrees. *)
         let params =
           {
@@ -1073,16 +1073,17 @@ let bench_smoke_lp () =
   if abs_float (dense_obj -. sparse_obj) > 1e-6 then
     Printf.printf "WARNING: dense and sparse objectives differ (%.6f vs %.6f)\n" dense_obj
       sparse_obj;
-  (* Deadline scenario: the remap ladder under a hard wall-clock
-     budget. Latency distribution (the robustness claim is about the
-     tail, hence p99) plus which rung each run ended on. *)
-  header "smoke-lp: deadline-bounded remap ladder";
+  (* Deadline scenario: the remap Δ-climb under a hard wall-clock
+     budget. Latency median and maximum (the robustness claim is about
+     the tail; 45 samples resolve no percentile above the maximum) plus
+     which producer each run ended on. *)
+  header "smoke-lp: deadline-bounded remap";
   (* Small enough to bind on B18, large enough that one uninterruptible
      unit of work (a context pack, the final audit) fits the 2x margin. *)
   let deadline_s = 0.5 in
   let runs_per_design = if !quick then 5 else 15 in
   (* B18 (16x16, 16 contexts) cannot finish its full MILP in 0.25s,
-     so the tail of the distribution exercises the ladder for real. *)
+     so the tail of the distribution exercises the fallbacks for real. *)
   let deadline_designs =
     [ Benchmarks.tiny () ]
     @ List.filter_map
@@ -1113,19 +1114,19 @@ let bench_smoke_lp () =
     let n = Array.length sorted in
     sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
   in
-  let p50 = percentile 0.50 and p99 = percentile 0.99 in
+  let p50 = percentile 0.50 in
+  let max_s = sorted.(Array.length sorted - 1) in
   let rung_rows =
-    [ "full-milp"; "relax-and-fix"; "lp-rounding"; "heuristic"; "baseline" ]
+    [ "full-milp"; "lp-rounding"; "heuristic"; "baseline" ]
     |> List.map (fun r ->
            (r, try Hashtbl.find rung_counts r with Not_found -> 0))
   in
-  Printf.printf "deadline %.2fs, %d runs over %d designs: p50 %.3fs, p99 %.3fs, max %.3fs\n"
+  Printf.printf "deadline %.2fs, %d runs over %d designs: p50 %.3fs, max %.3fs\n"
     deadline_s (Array.length sorted)
     (List.length deadline_designs)
-    p50 p99
-    sorted.(Array.length sorted - 1);
+    p50 max_s;
   List.iter (fun (r, n) -> if n > 0 then Printf.printf "  rung %-13s %d\n" r n) rung_rows;
-  if sorted.(Array.length sorted - 1) > 2.0 *. deadline_s then
+  if max_s > 2.0 *. deadline_s then
     Printf.printf "WARNING: a run exceeded twice the deadline\n";
   (* Parallel scenario: the suite fan-out (independent benchmarks on
      the domain pool), reported next to [domains_available] — on a
@@ -1344,8 +1345,8 @@ let bench_smoke_lp () =
     \  \"kernel\": {\"dense\": %s,\n\
     \             \"sparse_lu\": %s,\n\
     \             \"wall_speedup\": %.3f, \"pivot_speedup\": %.3f},\n\
-    \  \"deadline\": {\"deadline_s\": %.3f, \"runs\": %d, \"p50_s\": %.4f, \"p99_s\": \
-     %.4f, \"max_s\": %.4f, \"rungs\": {%s}},\n\
+    \  \"deadline\": {\"deadline_s\": %.3f, \"runs\": %d, \"p50_s\": %.4f, \"max_s\": \
+     %.4f, \"rungs\": {%s}},\n\
     \  \"parallel\": {\"domains_available\": %d,\n\
     \               \"suite\": {\"benchmarks\": %d, \"jobs1_s\": %.4f, \"jobs4_s\": \
      %.4f, \"speedup\": %.3f}},\n\
@@ -1367,8 +1368,7 @@ let bench_smoke_lp () =
     (json_kernel sparse_stats sparse_dt)
     (dense_dt /. sparse_dt)
     (per_pivot_us dense_dt dense_stats /. per_pivot_us sparse_dt sparse_stats)
-    deadline_s (Array.length sorted) p50 p99
-    sorted.(Array.length sorted - 1)
+    deadline_s (Array.length sorted) p50 max_s
     (String.concat ", "
        (List.map (fun (r, n) -> Printf.sprintf "\"%s\": %d" r n) rung_rows))
     domains_available

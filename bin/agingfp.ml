@@ -701,9 +701,10 @@ let deadline_arg =
     value
     & opt (some float) None
     & info [ "deadline" ] ~docv:"SEC"
-        ~doc:"Wall-clock budget (seconds, monotonic clock) for the whole solve. On \
-              expiry the degradation ladder falls back to ever cheaper machinery and \
-              at worst returns the audited baseline floorplan.")
+        ~doc:"Wall-clock budget (seconds, monotonic clock) for the whole solve. The \
+              Δ-climb drops branch & bound once a B&B slice expires, the LP-free \
+              packer takes over when the climb's share runs out, and at worst the \
+              audited baseline floorplan is returned.")
 
 let gap_arg =
   Arg.(

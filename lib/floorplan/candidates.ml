@@ -18,8 +18,8 @@ let build ?(budget = Agingfp_util.Budget.unlimited) ?(params = default_params) d
      unit of a deadline-bounded solve. Once [budget] expires the
      remaining ops get the trivial radius-0 neighbourhood — still a
      valid candidate structure (every op keeps a home), built in
-     negligible time; the caller's own expiry checks then descend the
-     degradation ladder before these sets are ever solved against. *)
+     negligible time; the caller's own expiry checks then end the
+     Δ-climb before these sets are ever solved against. *)
   let expired = ref false in
   let ops_seen = ref 0 in
   let checkpoint () =

@@ -15,7 +15,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type strategy = Monolithic | Per_context | Auto
 
-type step1_method = Greedy_pack | Exact_matching | Milp_relax
+type step1_method = Greedy_pack | Milp_relax
 
 type params = {
   seed : int;
@@ -58,13 +58,12 @@ let default_params =
     jobs = 1;
   }
 
-(* ---------- degradation ladder ---------- *)
+(* ---------- the producer of a result ---------- *)
 
-type rung = Full_milp | Relax_and_fix | Lp_rounding | Heuristic | Baseline
+type rung = Full_milp | Lp_rounding | Heuristic | Baseline
 
 let rung_to_string = function
   | Full_milp -> "full-milp"
-  | Relax_and_fix -> "relax-and-fix"
   | Lp_rounding -> "lp-rounding"
   | Heuristic -> "heuristic"
   | Baseline -> "baseline"
@@ -321,7 +320,7 @@ let lint_instance inst =
    warm; on a cache miss, [build] makes the instance and the first
    solve runs cold. Feeds the global Milp counters either way, and
    reports the same delta to [stats_note] so the caller can attribute
-   the work to a ladder rung. When [certify] is set, any optimal point
+   the work to the producer label in force. When [certify] is set, any optimal point
    is re-verified in exact arithmetic against the (rebudgeted) model
    before it is trusted. *)
 let cached_lp_solve ~certify ~budget ~stats_note ~get ~set ~build ~st_target ~committed =
@@ -369,15 +368,44 @@ let lp_cut_reason = function
   | Simplex.Unbounded -> Budget.Fault "unbounded LP relaxation"
   | Simplex.Infeasible | Simplex.Optimal _ -> Budget.Optimal
 
-(* The MILP machinery a ladder rung is allowed to use; [None] means no
-   branch & bound at all. *)
-let milp_params_for params ~budget = function
-  | Full_milp -> Some { params.milp with Milp.budget }
-  | Relax_and_fix ->
-    (* The cheap-MILP rung: same two-step scheme, hard-capped search. *)
-    Some
-      { params.milp with Milp.node_limit = min params.milp.Milp.node_limit 16; budget }
-  | Lp_rounding | Heuristic | Baseline -> None
+(* What one attempt may run. [Packer] is the LP-free best-fit-decreasing
+   packer alone. [Lp bb] solves the LP relaxation, rounds it, and falls
+   back to branch & bound while [bb] holds. One flag serves a whole
+   Δ-climb, parallel tasks included: the first branch & bound whose
+   slice expires clears it, and every later attempt only rounds. *)
+type machinery = Packer | Lp of bool Atomic.t
+
+(* Each branch & bound runs under this share of what is left of the
+   budget it is called under. *)
+let bb_fraction = 1.0 /. 3.0
+
+(* The two-step MILP over an attempt's model, while the climb's [bb]
+   flag still allows it; [Some sol] is an integer-feasible point. *)
+let branch_and_bound params ~budget ~bb ~note ~stats_note ~node_limit ~scope lp_model =
+  if not (Atomic.get bb) then None
+  else begin
+    let slice = Budget.slice budget ~fraction:bb_fraction in
+    let result, stats =
+      Milp.relax_and_fix_with_stats
+        ~params:{ params.milp with Milp.budget = slice; node_limit }
+        lp_model
+    in
+    stats_note ~milp:true stats;
+    if params.certify then note_certificate ~kind:`Milp (Certify.result lp_model result);
+    if Budget.expired slice then begin
+      note (Budget.status slice)
+        (scope ^ " branch & bound slice expired; later attempts skip branch & bound");
+      Atomic.set bb false
+    end
+    else begin
+      match (result, stats.Milp.stop) with
+      | Milp.Feasible _, _ | _, Budget.Optimal -> ()
+      | _, reason -> note reason (scope ^ " branch & bound cut short")
+    end;
+    match result with
+    | Milp.Feasible sol -> Some sol
+    | Milp.Infeasible | Milp.Unknown -> None
+  end
 
 (* Exact wire-length check of the monitored paths for one context. *)
 let paths_ok design mapping monitored ctx =
@@ -392,9 +420,8 @@ let solve_context params design baseline ~candidates ~monitored ~st_target ~comm
     ~cache ~budget ~machinery ~note ~stats_note ctx current =
   (* Fast path: LP relaxation + structured rounding; fall back to the
      paper's two-step MILP when rounding misses or breaks a path
-     budget. The ladder's [machinery] caps what this is allowed to
-     cost: [Heuristic] skips the LP entirely, [Lp_rounding] skips the
-     branch & bound. *)
+     budget. [machinery] caps what this is allowed to cost: [Packer]
+     skips the LP entirely. *)
   let try_rounding lp_value =
     let committed' = Array.copy committed in
     let dfg = Design.context design ctx in
@@ -415,8 +442,9 @@ let solve_context params design baseline ~candidates ~monitored ~st_target ~comm
     end
     else None
   in
-  if machinery = Heuristic then try_rounding (fun _ _ -> 0.0)
-  else begin
+  match machinery with
+  | Packer -> try_rounding (fun _ _ -> 0.0)
+  | Lp bb -> (
     let inst, lp_status =
       cached_lp_solve ~certify:params.certify ~budget ~stats_note
         ~get:(fun () -> Hashtbl.find_opt cache.per_ctx ctx)
@@ -458,46 +486,33 @@ let solve_context params design baseline ~candidates ~monitored ~st_target ~comm
            era. *)
         None
       | None -> (
-        match milp_params_for params ~budget machinery with
+        (* Branch & bound re-solves an LP per node; keep the per-context
+           fallback small — Δ-relaxation plus refinement recover
+           quality more cheaply than deep search. *)
+        match
+          branch_and_bound params ~budget ~bb ~note ~stats_note
+            ~node_limit:(min params.milp.Milp.node_limit 24)
+            ~scope:"per-context" lp_model
+        with
         | None -> None
-        | Some milp_params -> (
-          (* Branch & bound re-solves an LP per node; keep the
-             per-context fallback budget small — Δ-relaxation plus
-             refinement recover quality more cheaply than deep
-             search. *)
-          let fallback_params =
-            { milp_params with Milp.node_limit = min milp_params.Milp.node_limit 24 }
+        | Some sol ->
+          let mapping =
+            Ilp_model.extract inst
+              ~values:(fun v -> sol.Agingfp_lp.Simplex.values.(v))
+              current
           in
-          let milp_result, milp_stats =
-            Milp.relax_and_fix_with_stats ~params:fallback_params lp_model
-          in
-          stats_note ~milp:true milp_stats;
-          if params.certify then
-            note_certificate ~kind:`Milp (Certify.result lp_model milp_result);
-          (match (milp_result, milp_stats.Milp.stop) with
-          | Milp.Feasible _, _ | _, Budget.Optimal -> ()
-          | _, reason -> note reason "per-context branch & bound cut short");
-          match milp_result with
-          | Milp.Feasible sol ->
-            let mapping =
-              Ilp_model.extract inst
-                ~values:(fun v -> sol.Agingfp_lp.Simplex.values.(v))
-                current
-            in
-            if not (paths_ok design mapping monitored ctx) then None
-            else begin
-              (* Commit the assigned stress. *)
-              let dfg = Design.context design ctx in
-              for op = 0 to Dfg.num_ops dfg - 1 do
-                if not (Candidates.is_frozen candidates ~ctx ~op) then begin
-                  let pe = Mapping.pe_of mapping ~ctx ~op in
-                  committed.(pe) <- committed.(pe) +. Stress.op_stress design ~ctx ~op
-                end
-              done;
-              Some mapping
-            end
-          | Milp.Infeasible | Milp.Unknown -> None)))
-  end
+          if not (paths_ok design mapping monitored ctx) then None
+          else begin
+            (* Commit the assigned stress. *)
+            let dfg = Design.context design ctx in
+            for op = 0 to Dfg.num_ops dfg - 1 do
+              if not (Candidates.is_frozen candidates ~ctx ~op) then begin
+                let pe = Mapping.pe_of mapping ~ctx ~op in
+                committed.(pe) <- committed.(pe) +. Stress.op_stress design ~ctx ~op
+              end
+            done;
+            Some mapping
+          end)))
 
 (* ---------- whole-design attempt at one ST_target ---------- *)
 
@@ -527,9 +542,9 @@ let estimate_binaries design candidates =
   done;
   !total
 
-let attempt ?cache ?(budget = Budget.unlimited) ?(machinery = Full_milp)
-    ?(note = fun _ _ -> ()) ?(stats_note = fun ~milp:_ _ -> ()) params design baseline
-    ~candidates ~monitored ~frozen ~st_target =
+let attempt ?cache ?(budget = Budget.unlimited) ?(note = fun _ _ -> ())
+    ?(stats_note = fun ~milp:_ _ -> ()) ~machinery params design baseline ~candidates
+    ~monitored ~frozen ~st_target =
   let cache = match cache with Some c -> c | None -> new_cache () in
   let monolithic =
     match params.strategy with
@@ -585,12 +600,12 @@ let attempt ?cache ?(budget = Budget.unlimited) ?(machinery = Full_milp)
     in
     retry base_order 2
   in
-  if machinery = Heuristic then
-    (* LP-free rung: pure best-fit-decreasing packing over every
-       context — immune to any fault or budget pressure in the LP
-       layer. *)
+  match machinery with
+  | Packer ->
+    (* LP-free: pure best-fit-decreasing packing over every context —
+       immune to any fault or budget pressure in the LP layer. *)
     round_all (fun _ _ _ -> 0.0)
-  else if monolithic then (
+  | Lp bb when monolithic -> (
     let inst, lp_status =
       cached_lp_solve ~certify:params.certify ~budget ~stats_note
         ~get:(fun () -> cache.mono)
@@ -620,28 +635,19 @@ let attempt ?cache ?(budget = Budget.unlimited) ?(machinery = Full_milp)
       match round_all lp_value with
       | Some mapping -> Some mapping
       | None -> (
-        match milp_params_for params ~budget machinery with
+        match
+          branch_and_bound params ~budget ~bb ~note ~stats_note
+            ~node_limit:params.milp.Milp.node_limit ~scope:"monolithic" lp_model
+        with
         | None -> None
-        | Some milp_params -> (
-          let milp_result, milp_stats =
-            Milp.relax_and_fix_with_stats ~params:milp_params lp_model
+        | Some sol ->
+          let mapping =
+            Ilp_model.extract inst
+              ~values:(fun v -> sol.Agingfp_lp.Simplex.values.(v))
+              baseline
           in
-          stats_note ~milp:true milp_stats;
-          if params.certify then
-            note_certificate ~kind:`Milp (Certify.result lp_model milp_result);
-          (match (milp_result, milp_stats.Milp.stop) with
-          | Milp.Feasible _, _ | _, Budget.Optimal -> ()
-          | _, reason -> note reason "monolithic branch & bound cut short");
-          match milp_result with
-          | Milp.Feasible sol ->
-            let mapping =
-              Ilp_model.extract inst
-                ~values:(fun v -> sol.Agingfp_lp.Simplex.values.(v))
-                baseline
-            in
-            if all_paths_ok mapping then Some mapping else None
-          | Milp.Infeasible | Milp.Unknown -> None))))
-  else begin
+          if all_paths_ok mapping then Some mapping else None)))
+  | Lp _ ->
     let pass order =
       let committed' = Array.copy committed in
       let current = ref baseline in
@@ -785,7 +791,6 @@ let attempt ?cache ?(budget = Budget.unlimited) ?(machinery = Full_milp)
         end
     in
     retry (context_order design candidates) 2
-  end
 
 (* ---------- Step 1: ST_target lower bound ---------- *)
 
@@ -813,44 +818,6 @@ let step1_lower_bound ?(params = default_params) ?(budget = Budget.unlimited) de
     let milp_relax_cache = new_cache () in
     let feasible st =
       match params.step1 with
-      | Exact_matching ->
-        (* Per context, "each unfrozen op gets a distinct PE within the
-           residual budget" is a bipartite perfect-matching question —
-           exact given the committed loads of earlier contexts. *)
-        let npes = Fabric.num_pes (Design.fabric design) in
-        let committed = Array.make npes 0.0 in
-        let ok = ref true in
-        for ctx = 0 to Design.num_contexts design - 1 do
-          (* An expired probe claims infeasible: the bisection keeps its
-             lo-infeasible/hi-feasible invariant and merely returns a
-             looser (never wrong) bound. *)
-          if !ok && Budget.expired budget then ok := false;
-          if !ok then begin
-            let dfg = Design.context design ctx in
-            let n = Dfg.num_ops dfg in
-            let g = Agingfp_util.Bipartite.create ~n_left:n ~n_right:npes in
-            (* Prefer lightly-loaded PEs: adjacency in committed order. *)
-            let pe_order = Array.init npes (fun i -> i) in
-            Array.sort (fun a b -> Float.compare committed.(a) committed.(b)) pe_order;
-            for op = 0 to n - 1 do
-              let st_op = Stress.op_stress design ~ctx ~op in
-              Array.iter
-                (fun pe ->
-                  if committed.(pe) +. st_op <= st +. 1e-9 then
-                    Agingfp_util.Bipartite.add_edge g op pe)
-                pe_order
-            done;
-            let m = Agingfp_util.Bipartite.solve g in
-            if Agingfp_util.Bipartite.matching_size m < n then ok := false
-            else
-              Array.iteri
-                (fun op pe ->
-                  committed.(pe) <-
-                    committed.(pe) +. Stress.op_stress design ~ctx ~op)
-                m
-          end
-        done;
-        !ok
       | Greedy_pack ->
         let committed = Array.make (Fabric.num_pes (Design.fabric design)) 0.0 in
         let ok = ref true in
@@ -867,7 +834,7 @@ let step1_lower_bound ?(params = default_params) ?(budget = Budget.unlimited) de
         done;
         !ok
       | Milp_relax ->
-        attempt ~cache:milp_relax_cache ~budget
+        attempt ~cache:milp_relax_cache ~budget ~machinery:(Lp (Atomic.make true))
           { params with strategy = Auto }
           design baseline ~candidates ~monitored ~frozen ~st_target:st
         <> None
@@ -926,6 +893,10 @@ let same_reason_class a b =
   | Budget.Fault _, Budget.Fault _ -> true
   | _ -> false
 
+(* Share of the post-Step-1 budget the LP climb may spend; the LP-free
+   packer climb gets what it leaves. *)
+let climb_fraction = 0.75
+
 let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~lb
     ~reference ~frozen =
   let monitored = Paths.monitored ~params:params.path_params design baseline in
@@ -937,22 +908,21 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
   let delta = max ((st_up -. lb) /. float_of_int params.delta_steps) (0.01 *. st_up +. 1e-9) in
   let start = max lb floor_stress in
   let trail = ref [] in
-  (* Per-rung solver-work accounting and the bound/gap evidence of the
-     branch & bound runs. Every LP relaxation and every B&B inside the
-     ladder reports its stats delta here (parallel paths collect
-     locally and replay on this domain), so per-rung sums match the
-     process-wide {!Milp.cumulative} deltas of the ladder — Step 1 and
-     concurrent unrelated solves excluded. [gap]/[dual_bound] only
-     listen to real B&B runs ([milp:true]): a bare LP relaxation
+  (* Solver-work accounting per producer label and the bound/gap
+     evidence of the branch & bound runs. Every LP relaxation and every
+     B&B inside the climbs reports its stats delta here (parallel paths
+     collect locally and replay on this domain), so the per-label sums
+     match the process-wide {!Milp.cumulative} deltas of the climbs —
+     Step 1 and concurrent unrelated solves excluded. [gap]/[dual_bound]
+     only listen to real B&B runs ([milp:true]): a bare LP relaxation
      proves nothing about integer optimality. *)
   let milp_trail = ref [] in
   let gap_obs = ref nan in
   let dual_obs = ref nan in
-  let observe_stats machinery ~milp s =
+  let observe_stats rung ~milp s =
     (match !milp_trail with
-    | (r, acc) :: rest when r = machinery ->
-      milp_trail := (r, Milp.add_stats acc s) :: rest
-    | rest -> milp_trail := (machinery, s) :: rest);
+    | (r, acc) :: rest when r = rung -> milp_trail := (r, Milp.add_stats acc s) :: rest
+    | rest -> milp_trail := (rung, s) :: rest);
     if milp then begin
       if Float.is_finite s.Milp.gap then
         gap_obs :=
@@ -974,47 +944,46 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
     end
   in
   (* Δ-relaxation attempts differ only in ST_target, i.e. in the
-     stress-budget RHS: one cache serves the entire ladder warm. After
-     an injected fault the cached simplex states are suspect and the
+     stress-budget RHS: one cache serves every attempt warm. After an
+     injected fault the cached simplex states are suspect and the
      cache is dropped wholesale. A caller-provided ref (from a {!warm}
      value) additionally carries the assembled states across whole
      solves; the poisoning reset then propagates to the holder. *)
   let cache = match cache with Some c -> c | None -> ref (new_cache ()) in
-  (* One ladder rung: the Δ-relaxation loop restricted to [machinery],
-     bounded by [rbudget]. [Error Budget.Optimal] means the loop ran
-     to natural exhaustion — weaker LP-based machinery cannot do
-     better, so the ladder jumps to the LP-free rung. Any other
-     [Error] is a budget/fault cut that the next (cheaper) rung may
-     survive. *)
-  let run_rung machinery rbudget =
-    let note reason detail = note_step machinery reason detail in
-    let jobs = max 1 params.jobs in
-    (* Accept-or-relax check shared by both ladder shapes: a candidate
-       floorplan wins only if it validates and keeps the CPD. *)
-    let acceptable mapping =
-      match Mapping.validate design mapping with
-      | Error msg ->
-        (* A solver bug must not end the search; relax and retry. *)
-        Log.err (fun k -> k "invalid remapped floorplan: %s" msg);
+  (* A candidate floorplan wins only if it validates and keeps the
+     CPD. *)
+  let acceptable mapping =
+    match Mapping.validate design mapping with
+    | Error msg ->
+      (* A solver bug must not end the search; relax and retry. *)
+      Log.err (fun k -> k "invalid remapped floorplan: %s" msg);
+      None
+    | Ok () ->
+      let new_cpd = Analysis.cpd design mapping in
+      if new_cpd <= baseline_cpd +. 1e-9 then Some new_cpd
+      else begin
+        Log.debug (fun k ->
+            k "CPD check failed (%.3f > %.3f); relaxing ST_target" new_cpd baseline_cpd);
         None
-      | Ok () ->
-        let new_cpd = Analysis.cpd design mapping in
-        if new_cpd <= baseline_cpd +. 1e-9 then Some new_cpd
-        else begin
-          Log.debug (fun k ->
-              k "CPD check failed (%.3f > %.3f); relaxing ST_target" new_cpd baseline_cpd);
-          None
-        end
-    in
+      end
+  in
+  (* One Δ-climb: ascend from [start] with [machinery] under [cbudget]
+     until an attempt yields an acceptable floorplan. [rung ()] names
+     what would produce a mapping found now. [Error Budget.Optimal]
+     means the climb ran out of attempts; any other [Error] is a budget
+     cut or a fault, which ends the climb at once. *)
+  let climb machinery ~rung cbudget =
+    let note reason detail = note_step (rung ()) reason detail in
+    let jobs = max 1 params.jobs in
     let rec loop st iter =
       if iter > params.max_outer then Error Budget.Optimal
-      else if Budget.expired rbudget then Error (Budget.status rbudget)
+      else if Budget.expired cbudget then Error (Budget.status cbudget)
       else if jobs > 1 then begin
         (* Δ-window fan-out: the next [window] ST_target attempts are
            independent by construction (each is a fresh build at its
            own ST), so evaluate them concurrently and keep the
            lowest-ST acceptable floorplan — the same ST_target the
-           sequential ladder would have accepted first, though not
+           sequential climb would have accepted first, though not
            necessarily the same mapping: each task starts from a cold
            cache (warm simplex states are domain-local), so its solves
            can land on a different audited floorplan. Each task also
@@ -1029,25 +998,25 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
         let sts = Array.init window (fun i -> st +. (float_of_int i *. delta)) in
         Log.debug (fun k ->
             k "%s: [%a] attempts %d..%d with ST_target %.3f..%.3f (up %.3f)"
-              (Design.name design) pp_rung machinery iter
+              (Design.name design) pp_rung (rung ()) iter
               (iter + window - 1)
               sts.(0)
               sts.(window - 1)
               st_up);
         let pool = Pool.get jobs in
         let outcomes =
-          Pool.map_budgeted pool ~budget:rbudget
+          Pool.map_budgeted pool ~budget:cbudget
             (fun st_i ->
               let notes = ref [] in
               let cut = ref Budget.Optimal in
               let note_cut reason detail =
                 cut := Budget.worst !cut reason;
-                notes := (reason, detail) :: !notes
+                notes := (rung (), reason, detail) :: !notes
               in
               let stats = ref [] in
-              let stats_local ~milp s = stats := (milp, s) :: !stats in
+              let stats_local ~milp s = stats := (rung (), milp, s) :: !stats in
               let r =
-                attempt ~cache:(new_cache ()) ~budget:rbudget ~machinery ~note:note_cut
+                attempt ~cache:(new_cache ()) ~budget:cbudget ~machinery ~note:note_cut
                   ~stats_note:stats_local params design reference ~candidates ~monitored
                   ~frozen ~st_target:st_i
               in
@@ -1058,8 +1027,8 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
           (function
             | None -> ()
             | Some (_, _, notes, stats) ->
-              List.iter (fun (m, s) -> observe_stats machinery ~milp:m s) stats;
-              List.iter (fun (r, d) -> note r d) notes)
+              List.iter (fun (r, m, s) -> observe_stats r ~milp:m s) stats;
+              List.iter (fun (r, reason, d) -> note_step r reason d) notes)
           outcomes;
         let rec pick i =
           if i >= window then None
@@ -1083,25 +1052,22 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
               None outcomes
           in
           match fault with
-          | Some f ->
-            (* The machinery of this rung is actively misbehaving;
-               descending beats hammering it for max_outer attempts. *)
-            Error f
+          | Some f -> Error f
           | None -> loop (st +. (float_of_int window *. delta)) (iter + window))
       end
       else begin
         Log.debug (fun k ->
             k "%s: [%a] attempt %d with ST_target = %.3f (up %.3f)" (Design.name design)
-              pp_rung machinery iter st st_up);
+              pp_rung (rung ()) iter st st_up);
         let cut = ref Budget.Optimal in
         let note_cut reason detail =
           cut := Budget.worst !cut reason;
           note reason detail
         in
         match
-          attempt ~cache:!cache ~budget:rbudget ~machinery ~note:note_cut
-            ~stats_note:(observe_stats machinery) params design reference ~candidates
-            ~monitored ~frozen ~st_target:st
+          attempt ~cache:!cache ~budget:cbudget ~machinery ~note:note_cut
+            ~stats_note:(fun ~milp s -> observe_stats (rung ()) ~milp s)
+            params design reference ~candidates ~monitored ~frozen ~st_target:st
         with
         | Some mapping -> (
           match acceptable mapping with
@@ -1109,10 +1075,7 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
           | None -> loop (st +. delta) (iter + 1))
         | None -> (
           match !cut with
-          | Budget.Fault _ as f ->
-            (* The machinery of this rung is actively misbehaving;
-               descending beats hammering it for max_outer attempts. *)
-            Error f
+          | Budget.Fault _ as f -> Error f
           | _ -> loop (st +. delta) (iter + 1))
       end
     in
@@ -1123,16 +1086,16 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
       cache := new_cache ();
       Error (Budget.Fault where)
   in
-  (* Refine + audit a rung's floorplan. A floorplan that fails its
-     audit is discarded and the ladder descends — the contract is
-     audited-or-baseline, never an unaudited "success". *)
+  (* Refine + audit a climb's floorplan. A floorplan that fails its
+     audit is discarded — the contract is audited-or-baseline, never an
+     unaudited "success". *)
   let finish rung (mapping, st, iters, new_cpd) =
     let mapping, new_cpd =
       if not params.refine || Budget.expired budget then (mapping, new_cpd)
       else begin
         (* Greedy post-pass: shave the hotspot further under the same
            timing guards. Never worse than the MILP floorplan. Runs
-           under the whole solve's budget: a rung that succeeds just
+           under the whole solve's budget: a climb that succeeds just
            before the deadline gets a correspondingly short pass. *)
         let refined, stats =
           Refine.improve ~params:params.refine_params ~budget design ~baseline_cpd
@@ -1164,36 +1127,32 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
     else begin
       Log.err (fun k -> k "%s: %a" (Design.name design) Audit.pp audit);
       note_step rung (Budget.Fault "audit rejected floorplan")
-        "independent audit rejected the rung's floorplan";
+        "independent audit rejected the climb's floorplan";
       None
     end
   in
-  let rec descend = function
-    | [] -> None
-    | machinery :: rest -> (
-      let rungs_left = List.length rest + 1 in
-      let rbudget =
-        if Budget.is_unlimited budget then budget
-        else Budget.slice budget ~fraction:(1.0 /. float_of_int rungs_left)
-      in
-      match run_rung machinery rbudget with
-      | Ok success -> (
-        match finish machinery success with
-        | Some result -> Some result
-        | None -> descend rest)
-      | Error Budget.Optimal ->
-        note_step machinery Budget.Optimal
-          "no delay-clean floorplan at any Δ-relaxed ST_target";
-        (* Natural failure: every weaker LP-based rung solves a subset
-           of this rung's search, so only the LP-free packer — immune
-           to a systematically lying LP layer — is still worth a
-           try. *)
-        if machinery = Heuristic then None else descend [ Heuristic ]
-      | Error reason ->
-        note_step machinery reason "rung cut short; descending";
-        descend rest)
+  let run machinery ~rung cbudget =
+    match climb machinery ~rung cbudget with
+    | Ok success -> finish (rung ()) success
+    | Error reason ->
+      note_step (rung ()) reason
+        (match reason with
+        | Budget.Optimal -> "no delay-clean floorplan at any Δ-relaxed ST_target"
+        | _ -> "climb cut short");
+      None
   in
-  match descend [ Full_milp; Relax_and_fix; Lp_rounding; Heuristic ] with
+  let bb = Atomic.make true in
+  let lp_rung () = if Atomic.get bb then Full_milp else Lp_rounding in
+  let outcome =
+    match run (Lp bb) ~rung:lp_rung (Budget.slice budget ~fraction:climb_fraction) with
+    | Some result -> Some result
+    | None ->
+      (* Whatever ended the LP climb — no attempt left, no time left or
+         a misbehaving LP layer — the LP-free packer, immune to a lying
+         LP, climbs once from [start] on what is left. *)
+      run Packer ~rung:(fun () -> Heuristic) budget
+  in
+  match outcome with
   | Some result -> result
   | None ->
     Log.warn (fun k ->
@@ -1201,7 +1160,7 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
           (Design.name design));
     (* The baseline carries no pins (in Rotate mode its ops do not sit
        at the re-oriented positions) and its budget is ST_up, so its
-       audit holds by construction — the ladder's floor really is
+       audit holds by construction — the floor really is
        unconditional. A failed baseline audit is a pipeline bug; it is
        reported loudly and carried in the result for the CLI/tests to
        act on. *)
@@ -1259,7 +1218,7 @@ let budget_of_params params =
     Budget.create ~deadline_s:(Float.max (d /. 2.0) (d -. margin)) ()
 
 (* Fraction of the overall deadline granted to the Step-1 bisection;
-   the ladder gets whatever it leaves. *)
+   the climbs get whatever it leaves. *)
 let step1_fraction = 0.15
 
 let solve_both ?warm ?(params = default_params) design baseline =

@@ -20,10 +20,8 @@ open Agingfp_cgrra
 type strategy = Monolithic | Per_context | Auto
 
 type step1_method =
-  | Greedy_pack     (** best-fit-decreasing feasibility probe (fast) *)
-  | Exact_matching  (** Hopcroft–Karp perfect matching per context —
-                        exact given earlier contexts' commitments *)
-  | Milp_relax      (** the paper's two-step MILP on the delay-unaware model *)
+  | Greedy_pack  (** best-fit-decreasing feasibility probe (fast) *)
+  | Milp_relax   (** the paper's two-step MILP on the delay-unaware model *)
 
 type params = {
   seed : int;
@@ -50,16 +48,17 @@ type params = {
           {!certification}. Off by default. *)
   deadline_s : float option;
       (** wall-clock deadline for the whole solve (monotonic clock).
-          On expiry the degradation ladder descends to ever cheaper
-          machinery and, at worst, returns the audited baseline —
-          {!solve} never hangs past the deadline by more than one
-          cooperative checkpoint interval. [None] (default) reproduces
-          the unbounded behaviour. *)
+          Under a deadline the Δ-climb drops branch & bound once a
+          B&B slice expires, the LP-free packer takes over when the
+          climb's share runs out, and at worst the audited baseline
+          is returned — {!solve} never hangs past the deadline by
+          more than one cooperative checkpoint interval. [None]
+          (default) reproduces the unbounded behaviour. *)
   jobs : int;
       (** Domains used inside one solve. [1] (the default) is the
           classic sequential pipeline. [jobs > 1] parallelizes the two
           independent fan-out points on a {!Agingfp_util.Pool}: the
-          Δ-relaxation ladder evaluates a window of ST_target attempts
+          Δ-climb evaluates a window of ST_target attempts
           concurrently and keeps the lowest acceptable one, and the
           per-context strategy solves every context's ILP
           speculatively before a sequential validate-and-commit pass
@@ -72,24 +71,30 @@ type params = {
 
 val default_params : params
 
-(** {2 Degradation ladder}
+(** {2 The Δ-climb and its fallbacks}
 
-    Every solve walks a fixed ladder of machineries, each under a
-    slice of the remaining budget: the full two-step MILP, a
-    node-capped relax-and-fix, LP-guided rounding without branch &
-    bound, an LP-free greedy packer, and finally the unmodified
-    baseline mapping (always audit-clean, since its budget is the
-    baseline's own maximum stress). A rung is accepted only if its
-    floorplan passes the independent {!Audit}; the rung that produced
-    the returned mapping and every downgrade on the way are reported
-    in the {!result}. *)
+    Every solve runs Algorithm 1's loop once: from the Step-1 bound,
+    each attempt solves the LP relaxation, rounds it, and falls back
+    to the two-step MILP, relaxing ST_target by Δ until a floorplan
+    exists and keeps the CPD. Under a deadline the climb gets 3/4 of
+    the budget left after Step 1 and each branch & bound a constant
+    1/3 of what is left of it; after the first branch & bound whose
+    slice expires, later attempts only round. A climb that ends
+    without a floorplan — out of attempts, out of time, or stopped
+    by a solver fault — hands over to the LP-free greedy packer,
+    which climbs once from the same start on what is left. The last
+    resort is the unmodified baseline mapping (always audit-clean,
+    since its budget is the baseline's own maximum stress). A
+    floorplan is accepted only if it passes the independent
+    {!Audit}; its producer and every downgrade on the way are
+    reported in the {!result}. *)
 
 type rung =
-  | Full_milp      (** LP + structured rounding + two-step MILP, full node budget *)
-  | Relax_and_fix  (** same, branch & bound node-capped hard *)
-  | Lp_rounding    (** LP-guided structured rounding only *)
-  | Heuristic      (** best-fit-decreasing packing; no LP machinery at all *)
-  | Baseline       (** the input mapping, unchanged *)
+  | Full_milp    (** the LP climb, branch & bound still allowed *)
+  | Lp_rounding  (** the LP climb after a branch & bound slice expired *)
+  | Heuristic    (** best-fit-decreasing packing; no LP machinery at all *)
+  | Baseline     (** the input mapping, unchanged *)
+(** The producer of a returned mapping. *)
 
 val pp_rung : Format.formatter -> rung -> unit
 val rung_to_string : rung -> string
@@ -117,13 +122,13 @@ type result = {
       (** independent re-check of the returned floorplan against
           formulation (3)'s semantics — run on every result, MILP
           untrusted; a failed audit is logged as an error *)
-  rung : rung;  (** the ladder rung that produced [mapping] *)
+  rung : rung;  (** the producer of [mapping] *)
   degradation : degradation_step list;
       (** chronological downgrades recorded on the way to [rung];
           empty when the full machinery succeeded undisturbed *)
   gap : float;
       (** worst (largest) finite relative optimality gap reported by
-          any branch & bound run inside the ladder: [0.0] when every
+          any branch & bound run inside the climb: [0.0] when every
           B&B that ran proved optimality, [<= mip_gap] when searches
           stopped on {!Agingfp_util.Budget.Gap_limit}, [nan] when no
           B&B ran at all (rounding succeeded without it, or the flow
@@ -132,12 +137,15 @@ type result = {
       (** the most recent finite global dual bound those runs
           reported, in the MILP's objective space; [nan] when none *)
   rung_stats : (rung * Agingfp_lp.Milp.stats) list;
-      (** solver work per ladder rung attempted, in ladder order: every
-          LP relaxation and B&B inside a rung (including speculative
-          parallel tasks) accumulates into its entry, so summing
-          [nodes]/[lp_iterations] across entries reproduces the
-          {!Agingfp_lp.Milp.cumulative} delta of the ladder (Step 1's
-          bisection solves excluded — they run before the ladder) *)
+      (** solver work per producer label, in the order the labels
+          applied: every LP relaxation and B&B (including speculative
+          parallel tasks) accumulates into the entry of the label in
+          force when it ran — [Full_milp] until a branch & bound slice
+          expires, [Lp_rounding] after, [Heuristic] for the packer —
+          so summing [nodes]/[lp_iterations] across entries
+          reproduces the {!Agingfp_lp.Milp.cumulative} delta of the
+          climbs (Step 1's bisection solves excluded — they run
+          before) *)
 }
 
 (** {2 Solution certification}

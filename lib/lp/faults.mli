@@ -6,8 +6,8 @@
     and exceptions escaping mid-solve. This module makes {!Simplex}
     and {!Milp} raise exactly those failures {e on purpose}, at
     configurable probabilities from a seeded deterministic stream, so
-    the [test_faults] suite can prove the remap pipeline's degradation
-    ladder survives every class:
+    the [test_faults] suite can prove the remap pipeline's fallbacks
+    survive every class:
 
     - {e spurious iteration limit} — a simplex checkpoint reports
       [Iteration_limit] although iterations remain;

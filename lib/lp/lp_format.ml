@@ -1,7 +1,7 @@
 [@@@codelint.allow "budget-poll"
   "scanner/lexer loops: every while below advances a cursor over an \
    in-memory string, bounded by its length — parse time is dwarfed by the \
-   solves the budget ladder supervises"]
+   solves the budget supervises"]
 
 let var_name v = Printf.sprintf "x%d" v
 

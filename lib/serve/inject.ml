@@ -12,7 +12,7 @@
                 server must detect the bad entry, discard it and solve
                 cold.
    - [expire] — the request's remaining deadline collapses to ~0 just
-                before the solve; the ladder must fall through to the
+                before the solve; the solve must fall through to the
                 audited baseline (503), never hang or ship unaudited.
    - [slow]   — consumed by the loopback client, which dribbles the
                 request bytes to emulate a slow-loris peer; the server

@@ -336,7 +336,7 @@ let mode_param req =
 
 (* The epilogue margin reserved on top of [Remap]'s own shave: JSON
    assembly, the MTTF solves and the response write all happen after
-   the solver's last budget poll, the ladder itself may overshoot by
+   the solver's last budget poll, the solve itself may overshoot by
    one cooperative checkpoint, and the client measures its deadline
    against the whole round trip — so the solve gets 90% of what is
    left after queueing, minus a fixed epilogue allowance. *)
@@ -413,7 +413,7 @@ let handle_remap t fd ~arrived ~queue_wait (req : Http.request) =
      everything already spent since admission — queueing, reading the
      request, parsing, the baseline placement — plus the epilogue
      margin. Never refuse outright — a near-zero budget just falls
-     down the ladder to the audited baseline in a few checkpoints. *)
+     through to the audited baseline in a few checkpoints. *)
   let remaining = deadline -. Budget.elapsed_s arrived -. serve_margin deadline in
   let remaining = if Inject.collapse_deadline () then 0.001 else Float.max 0.001 remaining in
   let params =

@@ -2,7 +2,7 @@
     allowances.
 
     The solver stack (simplex, presolve, branch & bound, the remap
-    ladder) has no preemption; every loop instead polls a {!t} at its
+    Δ-climb) has no preemption; every loop instead polls a {!t} at its
     checkpoints — once per simplex pivot, presolve round, B&B node,
     Δ-relaxation attempt — and unwinds cleanly when the budget is
     gone. A budget combines

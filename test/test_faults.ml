@@ -192,7 +192,7 @@ let test_simplex_expired_budget_stops () =
   | Simplex.Deadline -> ()
   | s -> Alcotest.failf "expected Deadline, got %a" Simplex.pp_status s
 
-(* ---------- the headline property: the ladder survives ---------- *)
+(* ---------- the headline property: the fallbacks hold ---------- *)
 
 let deadline_s = 1.0
 
@@ -235,6 +235,19 @@ let survives name design spec () =
     Alcotest.(check bool) (name ^ " degradation trail populated") true
       (r.Remap.degradation <> [])
 
+(* An injected exception ends the LP-based Δ-climb at once: the solve
+   must not re-arm the faulty LP layer for a second search before
+   falling back to the LP-free packer. *)
+let test_fault_ends_climb_once () =
+  let design = Benchmarks.generate (Option.get (Benchmarks.find "B10")) in
+  let baseline = Placer.aging_unaware design in
+  let fired =
+    Faults.with_spec { Faults.none with seed = 1; p_exception = 1.0 } (fun () ->
+        ignore (Remap.solve ~mode:Rotation.Freeze design baseline);
+        Faults.fired ())
+  in
+  Alcotest.(check int) "exceptions raised" 1 fired.Faults.exceptions
+
 let ladder_tests =
   List.concat_map
     (fun (cname, spec) ->
@@ -273,6 +286,11 @@ let () =
         [
           Alcotest.test_case "expired budget stops simplex" `Quick
             test_simplex_expired_budget_stops;
+        ] );
+      ( "climb",
+        [
+          Alcotest.test_case "a fault ends the LP climb once" `Quick
+            test_fault_ends_climb_once;
         ] );
       ("ladder", ladder_tests);
     ]

@@ -5,12 +5,16 @@
    A deliberate behaviour change re-pins the rows and says why.
 
    Remap rows: an unbounded [Remap.solve] at default params per design
-   and mode — the digest of the serialised mapping, the ladder rung
+   and mode — the digest of the serialised mapping, the producer rung
    and the accepted ST_target in hexadecimal float notation. B19 and
    B5 are in the set because their searches actually branch or take
    heuristic incumbents. B11 and B20 (freeze only) are 8x8 designs
    whose Step-1 re-solves put heavy traffic through the warm dual
    repair.
+
+   Fallback rows: the same solve with a fault class armed on every LP,
+   so the answer comes from the LP-free packer (every LP forged
+   infeasible) or is the baseline (every LP raises).
 
    MILP rows: objective and tree counters of proofs to optimality —
    the structured instance in test_milp.ml with cuts and heuristics
@@ -26,22 +30,28 @@ module Simplex = Agingfp_lp.Simplex
 module Milp = Agingfp_lp.Milp
 module Cuts = Agingfp_lp.Cuts
 module Heuristics = Agingfp_lp.Heuristics
+module Faults = Agingfp_lp.Faults
 module Placer = Agingfp_place.Placer
 module Rotation = Agingfp_floorplan.Rotation
 module Remap = Agingfp_floorplan.Remap
 
-let remap_row name mode =
-  let design =
-    if name = "tiny" then Benchmarks.tiny ()
-    else Benchmarks.generate (Option.get (Benchmarks.find name))
-  in
-  let baseline = Placer.aging_unaware design in
-  let r = Remap.solve ~mode design baseline in
-  Printf.sprintf "%s %s: %s %s %h" name
-    (match mode with Rotation.Freeze -> "freeze" | Rotation.Rotate -> "rotate")
+let design_of name =
+  if name = "tiny" then Benchmarks.tiny ()
+  else Benchmarks.generate (Option.get (Benchmarks.find name))
+
+let row label (r : Remap.result) =
+  Printf.sprintf "%s: %s %s %h" label
     (Digest.to_hex (Digest.string (Serial.mapping_to_string r.Remap.mapping)))
     (Remap.rung_to_string r.Remap.rung)
     r.Remap.st_target
+
+let remap_row name mode =
+  let design = design_of name in
+  let baseline = Placer.aging_unaware design in
+  row
+    (Printf.sprintf "%s %s" name
+       (match mode with Rotation.Freeze -> "freeze" | Rotation.Rotate -> "rotate"))
+    (Remap.solve ~mode design baseline)
 
 let expected_remap =
   [
@@ -69,6 +79,34 @@ let test_remap () =
     @ List.map (fun name -> remap_row name Rotation.Freeze) [ "B11"; "B20" ]
   in
   Alcotest.(check (list string)) "remap rows" expected_remap actual
+
+let fault_row name spec =
+  let design = design_of name in
+  let baseline = Placer.aging_unaware design in
+  let faults = Result.get_ok (Faults.of_string spec) in
+  row
+    (Printf.sprintf "%s freeze %s" name spec)
+    (Faults.with_spec faults (fun () -> Remap.solve ~mode:Rotation.Freeze design baseline))
+
+let expected_fallback =
+  [
+    "tiny freeze seed=1,infeas=1.0: 3fd31238630a874fb8f6ad436c2effbe heuristic \
+     0x1.b5652bd3c3611p-1";
+    "B22 freeze seed=1,infeas=1.0: 2f5bd34472cfd1322871cbbc091ef4ff heuristic \
+     0x1.04119ce075f7p+1";
+    "B10 freeze seed=1,raise=1.0: 13fb0e064c847b566928ad8ced9ff825 baseline \
+     0x1.02bc6a7ef9db2p+1";
+  ]
+
+let test_fallback () =
+  let actual =
+    [
+      fault_row "tiny" "seed=1,infeas=1.0";
+      fault_row "B22" "seed=1,infeas=1.0";
+      fault_row "B10" "seed=1,raise=1.0";
+    ]
+  in
+  Alcotest.(check (list string)) "fallback rows" expected_fallback actual
 
 (* Same instance as test_milp.ml's [structured_model]. *)
 let structured_model () =
@@ -153,6 +191,7 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "remap rows" `Quick test_remap;
+          Alcotest.test_case "fallback rows" `Quick test_fallback;
           Alcotest.test_case "milp structured model" `Quick test_milp;
         ] );
     ]

@@ -225,7 +225,7 @@ let test_fault_mid_deadline () =
         { Inject.none with Inject.seed = 7; p_mid_deadline = 1.0 }
         (fun () ->
           (* The remaining budget collapses to ~0 just before the
-             solve: the ladder must fall to the audited baseline and
+             solve: it must fall through to the audited baseline and
              report the degradation honestly — never hang, never ship
              an unaudited floorplan. *)
           let r = request server ~body:(Lazy.force tiny_text) "/remap?deadline=5" in
