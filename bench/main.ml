@@ -518,6 +518,7 @@ let bench_micro () =
   let tiny_baseline = Placer.aging_unaware tiny in
   let b1 = Benchmarks.generate (Option.get (Benchmarks.find "B1")) in
   let b1_baseline = Placer.aging_unaware b1 in
+  let b1_greedy = Placer.greedy b1 in
   let tests =
     [
       (* Table I inner loop: the full Algorithm-1 flow. *)
@@ -540,6 +541,10 @@ let bench_micro () =
         (Staged.stage (fun () -> ignore (Analysis.cpd b1 b1_baseline)));
       Test.make ~name:"substrate/placer-greedy"
         (Staged.stage (fun () -> ignore (Placer.greedy b1)));
+      Test.make ~name:"substrate/placer-anneal"
+        (Staged.stage (fun () -> ignore (Placer.anneal b1 b1_greedy)));
+      Test.make ~name:"substrate/placer-aging-unaware"
+        (Staged.stage (fun () -> ignore (Placer.aging_unaware b1)));
     ]
   in
   List.iter

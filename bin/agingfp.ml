@@ -300,7 +300,9 @@ let cmd_remap benchmark source dim mode_s quiet design_file save_design save_flo
     Format.printf "solve rung          : %a@." Remap.pp_rung r.Remap.rung;
     if Float.is_finite r.Remap.gap then
       Format.printf "MILP gap            : %g (dual bound %g)@." r.Remap.gap
-        r.Remap.dual_bound;
+        r.Remap.dual_bound
+    else if not (Float.is_nan r.Remap.gap) then
+      Format.printf "MILP gap            : inf (no incumbent)@.";
     (match r.Remap.rung_stats with
     | [] -> ()
     | entries ->

@@ -915,7 +915,9 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
      match the process-wide {!Milp.cumulative} deltas of the climbs —
      Step 1 and concurrent unrelated solves excluded. [gap]/[dual_bound]
      only listen to real B&B runs ([milp:true]): a bare LP relaxation
-     proves nothing about integer optimality. *)
+     proves nothing about integer optimality. An infinite gap (a search
+     stopped without an incumbent) is kept: it dominates the worst-gap
+     fold, so one B&B that proved nothing makes [gap] infinite. *)
   let milp_trail = ref [] in
   let gap_obs = ref nan in
   let dual_obs = ref nan in
@@ -924,7 +926,7 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
     | (r, acc) :: rest when r = rung -> milp_trail := (r, Milp.add_stats acc s) :: rest
     | rest -> milp_trail := (rung, s) :: rest);
     if milp then begin
-      if Float.is_finite s.Milp.gap then
+      if not (Float.is_nan s.Milp.gap) then
         gap_obs :=
           (if Float.is_nan !gap_obs then s.Milp.gap else Float.max !gap_obs s.Milp.gap);
       if Float.is_finite s.Milp.dual_bound then dual_obs := s.Milp.dual_bound

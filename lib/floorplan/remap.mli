@@ -127,12 +127,14 @@ type result = {
       (** chronological downgrades recorded on the way to [rung];
           empty when the full machinery succeeded undisturbed *)
   gap : float;
-      (** worst (largest) finite relative optimality gap reported by
-          any branch & bound run inside the climb: [0.0] when every
-          B&B that ran proved optimality, [<= mip_gap] when searches
-          stopped on {!Agingfp_util.Budget.Gap_limit}, [nan] when no
-          B&B ran at all (rounding succeeded without it, or the flow
-          never got that far) *)
+      (** worst (largest) relative optimality gap reported by any
+          branch & bound run inside the climb: [0.0] when every B&B
+          that ran proved optimality (or infeasibility), [<= mip_gap]
+          when searches stopped on {!Agingfp_util.Budget.Gap_limit},
+          [infinity] when any B&B that ran proved nothing (it stopped
+          on a budget or a fault before finding an incumbent), [nan]
+          when no B&B ran at all (rounding succeeded without it, or
+          the flow never got that far) *)
   dual_bound : float;
       (** the most recent finite global dual bound those runs
           reported, in the MILP's objective space; [nan] when none *)

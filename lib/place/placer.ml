@@ -27,14 +27,59 @@ let default_params =
     wire_weight = 2.0;
   }
 
+(* ---------- flat tables ---------- *)
+
+(* The hot loops below read geometry and connectivity from flat
+   arrays built before they run, so scoring a PE or costing a move
+   allocates nothing. PE tables: x, y and the corner bias x + y of
+   every PE. *)
+type pe_tables = { xs : int array; ys : int array; corner : int array }
+
+let pe_tables fabric =
+  let coords = Array.init (Fabric.num_pes fabric) (Fabric.coord_of_pe fabric) in
+  let xs = Array.map (fun p -> p.Coord.x) coords in
+  let ys = Array.map (fun p -> p.Coord.y) coords in
+  { xs; ys; corner = Array.mapi (fun pe x -> x + ys.(pe)) xs }
+
+(* Manhattan distance between two PEs, as [Fabric.distance]. *)
+let[@inline] distance t a b = abs (t.xs.(a) - t.xs.(b)) + abs (t.ys.(a) - t.ys.(b))
+
+(* CSR adjacency of one context's DFG: op [o]'s neighbours are
+   [adj.(first.(o)) .. adj.(first.(o + 1) - 1)], its predecessors (up
+   to [pred_end.(o)]) in [Dfg.preds] order, then its successors. *)
+type csr = { first : int array; pred_end : int array; adj : int array }
+
+let csr dfg =
+  let n = Dfg.num_ops dfg in
+  let first = Array.make (n + 1) 0 in
+  for o = 0 to n - 1 do
+    first.(o + 1) <-
+      first.(o) + List.length (Dfg.preds dfg o) + List.length (Dfg.succs dfg o)
+  done;
+  let adj = Array.make first.(n) 0 in
+  let pred_end = Array.make n 0 in
+  for o = 0 to n - 1 do
+    let k = ref first.(o) in
+    let push q =
+      adj.(!k) <- q;
+      incr k
+    in
+    List.iter push (Dfg.preds dfg o);
+    pred_end.(o) <- !k;
+    List.iter push (Dfg.succs dfg o)
+  done;
+  { first; pred_end; adj }
+
 (* ---------- constructive pass ---------- *)
 
 let greedy ?(seed = 1913) design =
   let fabric = Design.fabric design in
   let npes = Fabric.num_pes fabric in
+  let t = pe_tables fabric in
   Mapping.of_arrays
     (Array.init (Design.num_contexts design) (fun c ->
          let dfg = Design.context design c in
+         let g = csr dfg in
          let rng = Rng.create (seed + (c * 6151)) in
          (* Small per-context tie-breaking noise: real per-context
             netlists never produce pixel-identical layouts, and without
@@ -44,32 +89,29 @@ let greedy ?(seed = 1913) design =
          let n = Dfg.num_ops dfg in
          let assignment = Array.make n (-1) in
          let free = Array.make npes true in
-         let corner_bias pe =
-           let p = Fabric.coord_of_pe fabric pe in
-           p.Coord.x + p.Coord.y
-         in
+         (* The PEs of the current op's placed predecessors. *)
+         let placed = Array.make (Array.length g.adj) 0 in
          Array.iter
            (fun o ->
-             let placed_preds =
-               List.filter_map
-                 (fun u -> if assignment.(u) >= 0 then Some assignment.(u) else None)
-                 (Dfg.preds dfg o)
-             in
-             let score pe =
-               let pull =
-                 List.fold_left
-                   (fun acc q -> acc + Fabric.distance fabric pe q)
-                   0 placed_preds
-               in
-               (* Weight the predecessor pull above the corner bias so
-                  connected ops stay adjacent. *)
-               (4 * pull) + corner_bias pe + noise.(pe)
-             in
+             let k = ref 0 in
+             for i = g.first.(o) to g.pred_end.(o) - 1 do
+               let q = assignment.(g.adj.(i)) in
+               if q >= 0 then begin
+                 placed.(!k) <- q;
+                 incr k
+               end
+             done;
              let best = ref (-1) in
              let best_score = ref max_int in
              for pe = 0 to npes - 1 do
                if free.(pe) then begin
-                 let s = score pe in
+                 let pull = ref 0 in
+                 for i = 0 to !k - 1 do
+                   pull := !pull + distance t pe placed.(i)
+                 done;
+                 (* Weight the predecessor pull above the corner bias so
+                    connected ops stay adjacent. *)
+                 let s = (4 * !pull) + t.corner.(pe) + noise.(pe) in
                  if s < !best_score then begin
                    best := pe;
                    best_score := s
@@ -105,31 +147,31 @@ let context_cost design mapping c =
   (default_params.corner_weight *. float_of_int !corner)
   +. (default_params.wire_weight *. float_of_int !wire)
 
-let anneal_context params design c assignment =
+(* Wirelength of the edges incident to [o] were it on [pe]. *)
+let incident_wire t g assignment o pe =
+  let wire = ref 0 in
+  for i = g.first.(o) to g.first.(o + 1) - 1 do
+    wire := !wire + distance t pe assignment.(g.adj.(i))
+  done;
+  !wire
+
+let anneal_context params t design c assignment =
   let fabric = Design.fabric design in
   let dfg = Design.context design c in
   let n = Dfg.num_ops dfg in
   let npes = Fabric.num_pes fabric in
   if n = 0 then assignment
   else begin
+    let g = csr dfg in
+    let corner = Array.map float_of_int t.corner in
     let rng = Rng.create (params.seed + (c * 7919)) in
     let occupant = Array.make npes (-1) in
     Array.iteri (fun o pe -> occupant.(pe) <- o) assignment;
-    let corner_of pe =
-      let p = Fabric.coord_of_pe fabric pe in
-      float_of_int (p.Coord.x + p.Coord.y)
-    in
-    (* Incremental cost of the edges incident to one op. *)
-    let incident_wire o pe =
-      let d q = Fabric.distance fabric pe assignment.(q) in
-      let acc = ref 0 in
-      List.iter (fun u -> acc := !acc + d u) (Dfg.preds dfg o);
-      List.iter (fun v -> acc := !acc + d v) (Dfg.succs dfg o);
-      !acc
-    in
-    let op_cost o pe =
-      (params.corner_weight *. corner_of pe)
-      +. (params.wire_weight *. float_of_int (incident_wire o pe))
+    (* Incremental cost of one op on [pe]. Inlined, so the float
+       never leaves the move loop boxed. *)
+    let[@inline] op_cost o pe =
+      (params.corner_weight *. corner.(pe))
+      +. (params.wire_weight *. float_of_int (incident_wire t g assignment o pe))
     in
     let temp = ref params.start_temp in
     let moves_done = ref 0 in
@@ -184,9 +226,10 @@ let anneal_context params design c assignment =
   end
 
 let anneal ?(params = default_params) design mapping =
+  let t = pe_tables (Design.fabric design) in
   let arrays =
     Array.init (Design.num_contexts design) (fun c ->
-        anneal_context params design c (Mapping.context_array mapping c))
+        anneal_context params t design c (Mapping.context_array mapping c))
   in
   let result = Mapping.of_arrays arrays in
   (match Mapping.validate design result with

@@ -375,15 +375,20 @@ let handle_remap t fd ~arrived ~queue_wait (req : Http.request) =
         }
     else Ok ()
   in
-  let* baseline =
+  (* [place_s]: the seconds spent placing the baseline, 0 when the
+     body carried it. *)
+  let* baseline, place_s =
     match mapping_text with
-    | None -> Ok (Placer.aging_unaware design)
+    | None ->
+      let watch = Budget.create () in
+      let m = Placer.aging_unaware design in
+      Ok (m, Budget.elapsed_s watch)
     | Some text -> (
       match Serial.mapping_of_string text with
       | Error msg -> Error { Http.status = 400; message = "bad mapping: " ^ msg }
       | Ok m -> (
         match Mapping.validate design m with
-        | Ok () -> Ok m
+        | Ok () -> Ok (m, 0.0)
         | Error msg ->
           Error { Http.status = 400; message = "mapping does not fit design: " ^ msg }))
   in
@@ -535,6 +540,7 @@ let handle_remap t fd ~arrived ~queue_wait (req : Http.request) =
                ("mttf_improvement", Json.Float improvement);
                ("cache", Json.Str cache_status);
                ("queue_wait_s", Json.Float queue_wait);
+               ("place_s", Json.Float place_s);
                ("solve_s", Json.Float solve_s);
                ("deadline_s", Json.Float deadline);
                ("mapping", Json.Str mapping_text);

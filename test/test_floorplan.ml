@@ -386,6 +386,30 @@ let test_remap_exact_encoding () =
   let params = { Remap.default_params with encoding = Ilp_model.Exact_abs } in
   check_result design baseline (Remap.solve ~params ~mode:Rotation.Rotate design baseline)
 
+(* B19's first branch & bound needs one node to find its incumbent.
+   At node limit 0 with the heuristics off it stops having proved
+   nothing, and [result.gap] must say so rather than keep the finite
+   gaps of the other searches. At node limit 1 the same search closes. *)
+let test_remap_gap_without_incumbent () =
+  let design, baseline = bench_placed "B19" in
+  let gap node_limit =
+    let milp =
+      {
+        Remap.default_params.Remap.milp with
+        Agingfp_lp.Milp.node_limit;
+        heuristics = Agingfp_lp.Heuristics.off;
+      }
+    in
+    let r =
+      Remap.solve ~params:{ Remap.default_params with milp } ~mode:Rotation.Freeze design
+        baseline
+    in
+    check_result design baseline r;
+    r.Remap.gap
+  in
+  Alcotest.(check bool) "node limit 0: gap infinite" true (gap 0 = infinity);
+  Alcotest.(check (float 0.0)) "node limit 1: gap closed" 0.0 (gap 1)
+
 let test_remap_rejects_invalid_baseline () =
   let design, _ = tiny_placed () in
   let bad = Mapping.create (fun _ _ -> 0) design in
@@ -853,6 +877,7 @@ let () =
           Alcotest.test_case "exact encoding" `Quick test_remap_exact_encoding;
           Alcotest.test_case "invalid baseline rejected" `Quick
             test_remap_rejects_invalid_baseline;
+          Alcotest.test_case "gap without incumbent" `Quick test_remap_gap_without_incumbent;
         ] );
       ( "naive",
         [

@@ -12,6 +12,12 @@
    whose Step-1 re-solves put heavy traffic through the warm dual
    repair.
 
+   Placement rows: the baseline placer's output on its own — the
+   digest of [Placer.greedy] and of [Placer.aging_unaware] per design,
+   for tiny, B1-B27 and four [Benchmarks.generate ~seed] variants. Every
+   remap row starts from this baseline, and every MTTF gain is measured
+   against it.
+
    Fallback rows: the same solve with a fault class armed on every LP,
    so the answer comes from the LP-free packer (every LP forged
    infeasible) or is the baseline (every LP raises).
@@ -79,6 +85,98 @@ let test_remap () =
     @ List.map (fun name -> remap_row name Rotation.Freeze) [ "B11"; "B20" ]
   in
   Alcotest.(check (list string)) "remap rows" expected_remap actual
+
+let placement_designs () =
+  (("tiny", Benchmarks.tiny ())
+  :: Array.to_list
+       (Array.map (fun spec -> (spec.Benchmarks.bname, Benchmarks.generate spec))
+          Benchmarks.table1))
+  @ List.map
+      (fun (name, seed) ->
+        ( Printf.sprintf "%s seed %d" name seed,
+          Benchmarks.generate ~seed (Option.get (Benchmarks.find name)) ))
+      [ ("B4", 1); ("B11", 2); ("B16", 3); ("B21", 4) ]
+
+let mapping_digest m = Digest.to_hex (Digest.string (Serial.mapping_to_string m))
+
+let expected_placement =
+  [
+    "tiny: greedy 32b4c10373b92e5d8e68636ee9422159 \
+     aging-unaware e4b7ea35d5d107651f10375d508ecad3";
+    "B1: greedy 2391031e992f1e8196d5e5a162aaabf4 \
+     aging-unaware e13c958f88a91ee4a76d67edcd23e864";
+    "B2: greedy bfed08aebc55641f6f6895c1803adfbd \
+     aging-unaware 8f7611f91d8068654042bffa1cf6b5fc";
+    "B3: greedy 39930affd8d77d7bee1fa14cfb9ac9dc \
+     aging-unaware 28ea7cd7f660e647f6de40b18e607aaf";
+    "B4: greedy dab0ed2be1dd5042302d957b1c953b9e \
+     aging-unaware 0e0bfc19c9950ed3d569736f4157e07e";
+    "B5: greedy faa7aaeaa048ba46bc36b6063297be02 \
+     aging-unaware 824d84272f4bac389f431cb28818ce22";
+    "B6: greedy dc763a40455d9a452d91122b609e64c4 \
+     aging-unaware 6bdb1fd9eae24ec7cdddce06e9fd32fd";
+    "B7: greedy ac22e1cff0bb0ec177e18f970ed1f91c \
+     aging-unaware 667d4bc9bcd72dd29974748d2a8e5412";
+    "B8: greedy 9c2c0b9b09bf9e48dffad05a0678096c \
+     aging-unaware cc78027eb519f2f539eb112195028e7d";
+    "B9: greedy 2439e282b7e19bbc3a0f783e0272e693 \
+     aging-unaware 4e0cf837191fac956c8020001eab4cf4";
+    "B10: greedy 59d301446cf477d726204d0af2962f2a \
+     aging-unaware 13fb0e064c847b566928ad8ced9ff825";
+    "B11: greedy 9a8f260d125f05821c0d4a42b7208ee2 \
+     aging-unaware 6454e28bd4609c0ac97d054e113aa432";
+    "B12: greedy b65ba799f3f3590ede46e12bdaf92ff3 \
+     aging-unaware b56233443c770ef9b4664e00da400852";
+    "B13: greedy 30d7dfc446b10c3f2e4332664b3803cf \
+     aging-unaware da88bd8a1c5b2c4c48365257868d4512";
+    "B14: greedy 081d140a21c36f12d670618ed8ee9b49 \
+     aging-unaware fef638daf444297b6239307affa40ccb";
+    "B15: greedy 266bf2594f0061725eb03c765c0403a2 \
+     aging-unaware 8d8e678e9ba912297d49b249cbc639cf";
+    "B16: greedy 4994a50c73ab0f0c5e42f4cc56796b01 \
+     aging-unaware cf85898daa62e0535523c67c1ea9d357";
+    "B17: greedy 4c88dd4ebc4a538014ce77635d81430a \
+     aging-unaware 621fdd1ff3d514f2e52ea7c3a79f88b3";
+    "B18: greedy 9eee629fe60fc0324e7a16e8bcd618c3 \
+     aging-unaware 8f645824d5195146dec11940af8bb86e";
+    "B19: greedy 99c99956e92cc7b2bfa4e9c62a947f88 \
+     aging-unaware ead1c46c25cc1f8590b9ca481e477ac4";
+    "B20: greedy ea3d52184ba1b1c2137a6ff11217962f \
+     aging-unaware 592abb39c17296b8d2749dbfb432501a";
+    "B21: greedy 8253460c1866f53e3d3c795a834f810a \
+     aging-unaware 96503608d8a27458d79715b2f7f31ea6";
+    "B22: greedy 58f76abe68c263591462be1b45f6c805 \
+     aging-unaware 282dcea9942b5066af49b1ea716a277d";
+    "B23: greedy 4f2cfbcf6e3b0124b49603d03cc93c7d \
+     aging-unaware bd2f8d72ee3e5a4ad0ab31838000da68";
+    "B24: greedy 1d8a428a9f8ae1fd337c58b0e091b2d2 \
+     aging-unaware e07d935a46eace2ffc2ec730972cb3be";
+    "B25: greedy a5b812b5e0c048cbfcf472ad4b50c0d6 \
+     aging-unaware dc9857ab4ed5f042e415d58c54a31587";
+    "B26: greedy 6c436a1deaec5451db4998e988498457 \
+     aging-unaware 6cc3082bd5fb1714bd9baa3ddfcae38d";
+    "B27: greedy f8fd9e22dc555964ed0d0a3d7f399cee \
+     aging-unaware 671075196c5de7a94a0f4a674417f4cf";
+    "B4 seed 1: greedy 7ba0d81048cf6a62ab670569572edd22 \
+     aging-unaware 03e9400d59ffa608b8d38f0a180ccbe2";
+    "B11 seed 2: greedy 28799bb679504d84ee45ce37c9f26d8e \
+     aging-unaware a0053a7ef1e77bbdd2dbb0286e41f61e";
+    "B16 seed 3: greedy 8176e443ae16217106d4dc88ece5b60d \
+     aging-unaware a722b1f2864a05dcbcfacc691168c106";
+    "B21 seed 4: greedy 515efd14aa69a40cb8f50d842e5aff5b \
+     aging-unaware 7d43ac6355dbb5fcbe74d99d1eb6ebd0";
+  ]
+
+let test_placement () =
+  let actual =
+    List.map
+      (fun (name, design) ->
+        Printf.sprintf "%s: greedy %s aging-unaware %s" name
+          (mapping_digest (Placer.greedy design))
+          (mapping_digest (Placer.aging_unaware design)))
+      (placement_designs ())
+  in
+  Alcotest.(check (list string)) "placement rows" expected_placement actual
 
 let fault_row name spec =
   let design = design_of name in
@@ -191,6 +289,7 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "remap rows" `Quick test_remap;
+          Alcotest.test_case "placement rows" `Quick test_placement;
           Alcotest.test_case "fallback rows" `Quick test_fallback;
           Alcotest.test_case "milp structured model" `Quick test_milp;
         ] );

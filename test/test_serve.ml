@@ -9,6 +9,7 @@ module Server = Agingfp_serve.Server
 module Client = Agingfp_serve.Client
 module Inject = Agingfp_serve.Inject
 module Http = Agingfp_serve.Http
+module Placer = Agingfp_place.Placer
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -36,6 +37,22 @@ let request ?headers ?(meth = "POST") ?(body = "") ?slow_write_delay_s server pa
   | Ok r -> r
   | Error msg -> Alcotest.failf "request %s failed: %s" path msg
 
+(* The number after ["key":] in a flat JSON body. *)
+let json_float body key =
+  let needle = Printf.sprintf "\"%s\":" key in
+  let n = String.length needle and h = String.length body in
+  let rec find i =
+    if i + n > h then Alcotest.failf "no %s in response" key
+    else if String.sub body i n = needle then i + n
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < h && String.contains "0123456789.eE+-" body.[!stop] do
+    incr stop
+  done;
+  float_of_string (String.sub body start (!stop - start))
+
 (* ---------- round trip + warm cache ---------- *)
 
 let test_round_trip () =
@@ -58,12 +75,26 @@ let test_round_trip () =
         "first solve is cold" (Some "miss")
         (Client.header "x-agingfp-cache" r);
       (* Same design again: the warm state must be found. *)
+      let t0 = Unix.gettimeofday () in
       let r2 = request server ~body "/remap?deadline=5" in
+      let round_trip = Unix.gettimeofday () -. t0 in
       Alcotest.(check int) "repeat status" 200 r2.Client.status;
       Alcotest.(check bool) "repeat audited" true (contains r2.Client.body "\"audit_ok\":true");
       Alcotest.(check (option string))
         "repeat hits warm cache" (Some "hit")
-        (Client.header "x-agingfp-cache" r2))
+        (Client.header "x-agingfp-cache" r2);
+      (* A design-only body is placed by the daemon, inside the round
+         trip; a body that carries the baseline is not placed. *)
+      let place_s = json_float r2.Client.body "place_s" in
+      Alcotest.(check bool) "place_s within the round trip" true
+        (0.0 <= place_s && place_s <= round_trip);
+      let with_mapping =
+        body ^ Serial.mapping_to_string (Placer.aging_unaware (Lazy.force tiny))
+      in
+      let r3 = request server ~body:with_mapping "/remap?deadline=5" in
+      Alcotest.(check int) "mapping body status" 200 r3.Client.status;
+      Alcotest.(check (float 0.0)) "mapping body not placed" 0.0
+        (json_float r3.Client.body "place_s"))
 
 let test_health_and_stats () =
   with_server (fun server ->
